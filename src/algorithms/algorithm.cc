@@ -1,6 +1,7 @@
 #include "algorithms/algorithm.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "fl/checkpoint.h"
 #include "fl/client.h"
@@ -30,6 +31,7 @@ double WeightSharingAlgorithm::ClientCapacity(int client_id) const {
 void WeightSharingAlgorithm::BeginRound(int round,
                                         const std::vector<int>& participants) {
   MHB_CHECK(ctx_ != nullptr) << "Setup not called";
+  DropEvalMemo();
   if (!participants.empty()) last_round_ = round;
   if (!obs_ids_ready_ && ctx_->config->obs.registry != nullptr) {
     obs_upload_params_id_ =
@@ -92,6 +94,7 @@ void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
 
 // mhb-obs-phase: serial — FinishRound merges at the round barrier.
 void WeightSharingAlgorithm::FinishRound(int round, Rng& rng) {
+  DropEvalMemo();
   obs::Registry* const reg = ctx_ != nullptr ? ctx_->config->obs.registry
                                              : nullptr;
   obs::Span merge_span(ctx_ != nullptr ? ctx_->config->obs.tracer : nullptr,
@@ -127,6 +130,7 @@ void WeightSharingAlgorithm::LoadState(fl::SnapshotReader& reader) {
   MHB_CHECK(global_ != nullptr) << "Setup not called";
   const std::string saved = reader.ReadString();
   MHB_CHECK_EQ(saved, name()) << "algorithm state belongs to" << saved;
+  DropEvalMemo();
   last_round_ = reader.ReadI32();
   global_->store() = fl::ParamStore::Deserialize(reader.ReadBytes());
   LoadExtraState(reader);
@@ -172,8 +176,69 @@ models::BuildSpec WeightSharingAlgorithm::EvalSpec(int client_id) {
   return ClientSpec(client_id, last_round_, fixed);
 }
 
+namespace {
+
+// Exact equality of every BuildSpec field: equal specs build equal models.
+bool SameBuildSpec(const models::BuildSpec& a, const models::BuildSpec& b) {
+  return a.width_ratio == b.width_ratio && a.depth_ratio == b.depth_ratio &&
+         a.width_offset == b.width_offset && a.rolling == b.rolling &&
+         a.multi_head == b.multi_head;
+}
+
+bool SameBytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.numel() * sizeof(Scalar)) == 0;
+}
+
+}  // namespace
+
+// mhb-obs-phase: serial — the engine prepares before the stability sweep.
+void WeightSharingAlgorithm::PrepareEvaluation() {
+  MHB_CHECK(ctx_ != nullptr) << "Setup not called";
+  DropEvalMemo();
+  const int n = ctx_->num_clients();
+  eval_group_of_client_.resize(static_cast<std::size_t>(n));
+  for (int c = 0; c < n; ++c) {
+    const models::BuildSpec spec = EvalSpec(c);
+    std::size_t g = 0;
+    while (g < eval_groups_.size() &&
+           !SameBuildSpec(eval_groups_[g]->spec, spec)) {
+      ++g;
+    }
+    if (g == eval_groups_.size()) {
+      eval_groups_.push_back(std::make_unique<EvalGroup>());
+      eval_groups_.back()->spec = spec;
+    }
+    eval_group_of_client_[static_cast<std::size_t>(c)] = g;
+  }
+}
+
+void WeightSharingAlgorithm::DropEvalMemo() {
+  eval_groups_.clear();
+  eval_group_of_client_.clear();
+}
+
 Tensor WeightSharingAlgorithm::ClientLogits(int client_id, const Tensor& x) {
-  const models::BuildSpec spec = EvalSpec(client_id);
+  if (eval_group_of_client_.empty()) {
+    return ComputeClientLogits(EvalSpec(client_id), x);
+  }
+  EvalGroup& group = *eval_groups_[eval_group_of_client_.at(
+      static_cast<std::size_t>(client_id))];
+  const kernels::EvalPrecision precision = kernels::ActiveEvalPrecision();
+  // Held across the forward so each (group, batch) is computed once: the
+  // GEMM-flop and profiler totals then do not depend on thread interleaving.
+  core::MutexLock lock(group.mu);
+  for (const EvalMemoEntry& e : group.entries) {
+    if (e.precision == precision && SameBytes(e.input, x)) return e.logits;
+  }
+  Tensor logits = ComputeClientLogits(group.spec, x);
+  group.entries.push_back(EvalMemoEntry{precision, x, logits});
+  return logits;
+}
+
+Tensor WeightSharingAlgorithm::ComputeClientLogits(
+    const models::BuildSpec& spec, const Tensor& x) {
   Rng build_rng(seed_ ^ 0xC11E);
   models::BuiltModel built = family_->Build(spec, build_rng);
   global_->store().LoadInto(*built.net, built.mapping);

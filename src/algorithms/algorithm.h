@@ -7,6 +7,10 @@
 // dispatch, masked aggregation, evaluation — lives here.
 #pragma once
 
+#include <memory>
+#include <vector>
+
+#include "core/mutex.h"
 #include "fl/aggregator.h"
 #include "fl/engine.h"
 #include "fl/server.h"
@@ -25,7 +29,15 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   // Merges staged uploads in participant order (bit-identical to eager
   // serial accumulation), applies the masked average, then PostAggregate.
   void FinishRound(int round, Rng& rng) override;
+  // Groups clients by EvalSpec and opens the stability-eval memo (see
+  // ClientLogits).
+  void PrepareEvaluation() override;
   Tensor GlobalLogits(const Tensor& x) override;
+  // After PrepareEvaluation, clients with equal EvalSpec share one forward
+  // per distinct input batch: the first caller computes it under its
+  // group's lock, the rest get a copy of the same logits.  Before
+  // PrepareEvaluation, or after BeginRound / FinishRound / LoadState, every
+  // call computes directly.
   Tensor ClientLogits(int client_id, const Tensor& x) override;
 
   // Checkpoint hooks: the persistent state of every weight-sharing
@@ -72,7 +84,10 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   // Static-batch-norm evaluation (default on).  With it off, evaluation
   // uses the aggregated running statistics, which are inconsistent across
   // different-width sub-networks; bench_ablation quantifies the gap.
-  void set_sbn_eval(bool v) { sbn_eval_ = v; }
+  void set_sbn_eval(bool v) {
+    sbn_eval_ = v;
+    DropEvalMemo();
+  }
   // Weight client updates by their sample count (default) or uniformly.
   enum class AggregationWeighting { kDataSize, kUniform };
   void set_aggregation_weighting(AggregationWeighting w) { weighting_ = w; }
@@ -98,6 +113,27 @@ class WeightSharingAlgorithm : public fl::MhflAlgorithm {
   // concurrent RunClient only touches per-thread sinks (0 = unregistered).
   std::size_t obs_upload_params_id_ = 0;
   bool obs_ids_ready_ = false;
+
+ private:
+  // Stability-eval memo (DESIGN.md §5b).  One group per distinct EvalSpec;
+  // each entry holds the logits of one input batch.  The group table is
+  // built and dropped only in serial calls; entries are filled under the
+  // group's lock, so each (group, batch) is computed exactly once.
+  struct EvalMemoEntry {
+    kernels::EvalPrecision precision = kernels::EvalPrecision::kF32;
+    Tensor input;
+    Tensor logits;
+  };
+  struct EvalGroup {
+    models::BuildSpec spec;
+    core::Mutex mu;
+    std::vector<EvalMemoEntry> entries MHB_GUARDED_BY(mu);
+  };
+  Tensor ComputeClientLogits(const models::BuildSpec& spec, const Tensor& x);
+  // Closes the memo; called wherever the global store or EvalSpec may change.
+  void DropEvalMemo();
+  std::vector<std::unique_ptr<EvalGroup>> eval_groups_;
+  std::vector<std::size_t> eval_group_of_client_;  // empty: memo closed
 };
 
 }  // namespace mhbench::algorithms

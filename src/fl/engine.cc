@@ -93,6 +93,19 @@ FlEngine::FlEngine(const data::Task& task, FlConfig config,
                    std::vector<ClientAssignment> assignments,
                    MhflAlgorithm& algorithm)
     : config_(config), algorithm_(algorithm), rng_(config.seed) {
+  // Eval settings are first read after training starts (eval_every at the
+  // first round barrier), so reject nonsense here, before Setup.
+  auto require = [](bool ok, const char* field, const char* rule, int got) {
+    if (!ok) {
+      throw Error(std::string("FlConfig.") + field + " must be " + rule +
+                  ", got " + std::to_string(got));
+    }
+  };
+  require(config_.eval_every >= 1, "eval_every", ">= 1", config_.eval_every);
+  require(config_.eval_max_samples >= 0, "eval_max_samples",
+          ">= 0 (0 = full test set)", config_.eval_max_samples);
+  require(config_.stability_max_samples >= 0, "stability_max_samples",
+          ">= 0 (0 = full test set)", config_.stability_max_samples);
   ctx_.task = &task;
   ctx_.config = &config_;
   if (config_.num_threads > 1) {

@@ -145,7 +145,10 @@ class MhflAlgorithm {
   virtual Tensor GlobalLogits(const Tensor& x) = 0;
 
   // Personalized logits for one client (stability metric).  May be called
-  // concurrently for distinct clients after PrepareEvaluation.
+  // concurrently for distinct clients after PrepareEvaluation.  The engine
+  // calls it for every client and every test batch; an implementation may
+  // return memoized logits when the model it would build and the input
+  // batch are both identical to an earlier call's (DESIGN.md §5b).
   virtual Tensor ClientLogits(int client_id, const Tensor& x) = 0;
 
   // Checkpoint hooks (fl/checkpoint.h).  SaveState serializes every field

@@ -1,5 +1,6 @@
 // Mechanism-level tests of the individual MHFL algorithms (beyond the
 // end-to-end learning checks in algorithms_test.cc).
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -12,8 +13,10 @@
 #include "algorithms/registry.h"
 #include "algorithms/sheterofl.h"
 #include "data/tasks.h"
+#include "fl/checkpoint.h"
 #include "fl/engine.h"
 #include "models/zoo.h"
+#include "tensor/gemm.h"
 
 namespace mhbench::algorithms {
 namespace {
@@ -203,6 +206,168 @@ TEST(TopologyMechanicsTest, FedEtServerIsLargestFamily) {
   Rng rng(1);
   const Tensor x = Tensor::Randn({2, 3, 8, 8}, rng);
   EXPECT_EQ(alg->GlobalLogits(x).shape(), Shape({2, 10}));
+}
+
+// Stability-eval memo of the weight-sharing algorithms: after
+// PrepareEvaluation, clients with equal EvalSpec share one forward per
+// input batch.  The memo must be exact against an unprepared twin, never
+// serve logits from before a store change, and compute each (group, batch)
+// exactly once.
+class EvalMemoTest : public ::testing::TestWithParam<std::string> {};
+
+INSTANTIATE_TEST_SUITE_P(WeightSharing, EvalMemoTest,
+                         ::testing::Values("fedavg", "fjord", "sheterofl",
+                                           "fedrolex", "depthfl",
+                                           "inclusivefl", "fedepth"),
+                         [](const auto& info) { return info.param; });
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.numel() * sizeof(Scalar)) == 0;
+}
+
+std::vector<std::uint8_t> SaveAlgorithm(const fl::MhflAlgorithm& alg) {
+  fl::SnapshotWriter w;
+  w.BeginSection("algorithm");
+  alg.SaveState(w);
+  w.EndSection();
+  return w.Finish();
+}
+
+void LoadAlgorithm(fl::MhflAlgorithm& alg, std::vector<std::uint8_t> bytes) {
+  fl::SnapshotReader r(std::move(bytes));
+  r.EnterSection("algorithm");
+  alg.LoadState(r);
+  r.ExpectSectionEnd();
+}
+
+// ClientLogits of `clients` on `x`, in order.
+std::vector<Tensor> Sweep(fl::MhflAlgorithm& alg,
+                          const std::vector<int>& clients, const Tensor& x) {
+  std::vector<Tensor> out;
+  for (int c : clients) out.push_back(alg.ClientLogits(c, x));
+  return out;
+}
+
+// kernels::TotalGemmFlops spent sweeping `clients` over `batches`.
+std::uint64_t SweepFlops(fl::MhflAlgorithm& alg,
+                         const std::vector<int>& clients,
+                         const std::vector<Tensor>& batches) {
+  const std::uint64_t before = kernels::TotalGemmFlops();
+  for (const Tensor& x : batches) Sweep(alg, clients, x);
+  return kernels::TotalGemmFlops() - before;
+}
+
+void ExpectSameLogits(const std::vector<Tensor>& a,
+                      const std::vector<Tensor>& b, const char* what) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_TRUE(SameBits(a[i], b[i])) << what << ": client " << i;
+  }
+}
+
+TEST_P(EvalMemoTest, ExactInvalidatedAndComputedOncePerGroup) {
+  constexpr int kClients = 8;
+  data::TaskConfig tcfg;
+  tcfg.train_samples = 160;
+  tcfg.test_samples = 40;
+  tcfg.num_clients = kClients;
+  const data::Task task = data::MakeTask("cifar10", tcfg);
+  const models::TaskModels tm = models::MakeTaskModels("cifar10");
+  // Three capacities over eight clients: EvalSpecs repeat.
+  const auto assignments =
+      fl::UniformCapacityAssignments(kClients, {0.25, 0.5, 1.0});
+  fl::FlConfig cfg;
+  cfg.rounds = 2;
+  cfg.sample_fraction = 1.0;
+  cfg.eval_every = 2;
+  cfg.eval_max_samples = 40;
+  cfg.stability_max_samples = 40;
+
+  // Two identical runs; the engine leaves each inside a prepared window.
+  auto alg = MakeAlgorithm(GetParam(), tm);
+  auto twin = MakeAlgorithm(GetParam(), tm);
+  fl::FlEngine engine(task, cfg, assignments, *alg);
+  fl::FlEngine twin_engine(task, cfg, assignments, *twin);
+  engine.Run();
+  twin_engine.Run();
+  const std::vector<std::uint8_t> trained = SaveAlgorithm(*alg);
+  ASSERT_EQ(trained, SaveAlgorithm(*twin));
+  // LoadState closes the twin's memo: it is the direct-compute reference.
+  LoadAlgorithm(*twin, trained);
+
+  std::vector<int> all(kClients);
+  for (int c = 0; c < kClients; ++c) all[static_cast<std::size_t>(c)] = c;
+  Rng rng(11);
+  const std::vector<Tensor> batches = {Tensor::Randn({6, 3, 8, 8}, rng),
+                                       Tensor::Randn({6, 3, 8, 8}, rng)};
+  const Tensor& x1 = batches[0];
+  const Tensor& x2 = batches[1];
+
+  // Exactness: memoized logits equal direct ones for two same-shape batches,
+  // also when a batch comes back after another one.
+  alg->PrepareEvaluation();
+  const std::vector<Tensor> direct1 = Sweep(*twin, all, x1);
+  ExpectSameLogits(Sweep(*alg, all, x1), direct1, "x1");
+  ExpectSameLogits(Sweep(*alg, all, x2), Sweep(*twin, all, x2), "x2");
+  ExpectSameLogits(Sweep(*alg, all, x1), direct1, "x1 again");
+
+  // Exactly once: a fresh memo over all clients costs the GEMM flops of the
+  // group representatives alone (clients with bit-equal direct logits share
+  // an EvalSpec).
+  std::vector<int> representatives;
+  const std::vector<Tensor> direct2 = Sweep(*twin, all, x2);
+  for (int c : all) {
+    bool seen = false;
+    for (int r : representatives) {
+      seen = seen || (SameBits(direct1[static_cast<std::size_t>(c)],
+                               direct1[static_cast<std::size_t>(r)]) &&
+                      SameBits(direct2[static_cast<std::size_t>(c)],
+                               direct2[static_cast<std::size_t>(r)]));
+    }
+    if (!seen) representatives.push_back(c);
+  }
+  ASSERT_LT(representatives.size(), all.size());
+  alg->PrepareEvaluation();
+  const std::uint64_t memo_flops = SweepFlops(*alg, all, batches);
+  EXPECT_GT(memo_flops, 0u);
+  EXPECT_EQ(memo_flops, SweepFlops(*twin, representatives, batches));
+  EXPECT_LT(memo_flops, SweepFlops(*twin, all, batches));
+
+  // FinishRound: fill the memo mid-round, then merge; nothing stale may be
+  // served afterwards.
+  const int round = cfg.rounds;
+  for (fl::MhflAlgorithm* a : {alg.get(), twin.get()}) {
+    a->BeginRound(round, all);
+    for (int c : all) {
+      Rng client_rng(1000 + static_cast<std::uint64_t>(c));
+      a->RunClient(c, round, client_rng);
+    }
+  }
+  alg->PrepareEvaluation();
+  ExpectSameLogits(Sweep(*alg, all, x1), direct1, "before merge");
+  for (fl::MhflAlgorithm* a : {alg.get(), twin.get()}) {
+    Rng server_rng(77);
+    a->FinishRound(round, server_rng);
+  }
+  const std::vector<Tensor> merged1 = Sweep(*twin, all, x1);
+  bool changed = false;
+  for (int c : all) {
+    const auto i = static_cast<std::size_t>(c);
+    changed = changed || !SameBits(merged1[i], direct1[i]);
+  }
+  ASSERT_TRUE(changed) << "the extra round did not change any client model";
+  ExpectSameLogits(Sweep(*alg, all, x1), merged1, "after FinishRound");
+  alg->PrepareEvaluation();
+  ExpectSameLogits(Sweep(*alg, all, x1), merged1, "prepared after merge");
+
+  // LoadState: the memo now holds post-merge logits; restoring the trained
+  // state must bring back the pre-merge ones.
+  LoadAlgorithm(*alg, trained);
+  ExpectSameLogits(Sweep(*alg, all, x1), direct1, "after LoadState");
+  alg->PrepareEvaluation();
+  ExpectSameLogits(Sweep(*alg, all, x1), direct1, "prepared after LoadState");
 }
 
 }  // namespace

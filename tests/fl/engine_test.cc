@@ -122,6 +122,41 @@ TEST(FlEngineTest, AssignmentCountMismatchThrows) {
   EXPECT_THROW(FlEngine(task, FastConfig(2), assign, *alg), Error);
 }
 
+// Invalid eval settings fail at engine entry with an error naming the
+// field, instead of a mid-run division by zero (eval_every) or a silent
+// full-test-set eval (negative sample caps).
+void ExpectConfigRejected(const FlConfig& cfg, const std::string& field) {
+  const data::Task task = SmallTask();
+  const auto tm = models::MakeTaskModels("cifar10");
+  auto alg = algorithms::MakeAlgorithm("depthfl", tm);
+  try {
+    FlEngine engine(task, cfg, {}, *alg);
+    ADD_FAILURE() << field << " accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("FlConfig." + field),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FlEngineTest, RejectsNonPositiveEvalEvery) {
+  FlConfig cfg = FastConfig(2);
+  cfg.eval_every = 0;
+  ExpectConfigRejected(cfg, "eval_every");
+}
+
+TEST(FlEngineTest, RejectsNegativeEvalMaxSamples) {
+  FlConfig cfg = FastConfig(2);
+  cfg.eval_max_samples = -1;
+  ExpectConfigRejected(cfg, "eval_max_samples");
+}
+
+TEST(FlEngineTest, RejectsNegativeStabilityMaxSamples) {
+  FlConfig cfg = FastConfig(2);
+  cfg.stability_max_samples = -5;
+  ExpectConfigRejected(cfg, "stability_max_samples");
+}
+
 TEST(UniformCapacityTest, CyclesCapacities) {
   const auto a = UniformCapacityAssignments(5, {0.25, 1.0});
   ASSERT_EQ(a.size(), 5u);

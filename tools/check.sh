@@ -26,7 +26,8 @@
 #   tools/check.sh --release # Release (-O3) build + ctest
 #   tools/check.sh --bench   # Release build + kernel bench smoke (gates the
 #                            #   fresh report against BENCH_kernels.json with
-#                            #   mhb_diff, then refreshes it) + obs artifacts
+#                            #   mhb_diff, then refreshes it) + end-to-end
+#                            #   benchmark self-test + obs artifacts
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -483,6 +484,19 @@ smoke_bench() {
   cp "$build_dir/BENCH_kernels.json" "$repo/BENCH_kernels.json"
 }
 
+# End-to-end benchmark self-test (perfbench/README.md): builds the runner in
+# Release and checks, on shortened versions of all three workloads, that the
+# result fingerprints are equal with and without the timing proxy and at 1
+# and 4 threads, and that the printed metrics match BENCHMARK.json.  An
+# optimization that changes any result bit fails here.
+smoke_perfbench() {
+  if ! command -v python3 >/dev/null 2>&1; then
+    echo "check.sh: python3 not found, skipping perfbench self-test"
+    return 0
+  fi
+  python3 "$repo/perfbench/run.py" --self-test
+}
+
 # Writes the observability artifacts of two small profiled runs into
 # $build_dir/obs-artifacts so CI can upload them alongside the bench
 # report: per-run manifests, rounds.csv + tiers.csv, client journals, and
@@ -542,6 +556,7 @@ case "$mode" in
   --bench)
     run_suite "$repo/build-release" -DCMAKE_BUILD_TYPE=Release
     smoke_bench "$repo/build-release"
+    smoke_perfbench
     emit_obs_artifacts "$repo/build-release"
     ;;
   *)
