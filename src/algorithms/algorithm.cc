@@ -33,11 +33,6 @@ void WeightSharingAlgorithm::BeginRound(int round,
   MHB_CHECK(ctx_ != nullptr) << "Setup not called";
   DropEvalMemo();
   if (!participants.empty()) last_round_ = round;
-  if (!obs_ids_ready_ && ctx_->config->obs.registry != nullptr) {
-    obs_upload_params_id_ =
-        ctx_->config->obs.registry->Counter("upload_params");
-    obs_ids_ready_ = true;
-  }
   round_participants_ = participants;
   staged_.assign(participants.size(), fl::ClientUpdate{});
   slot_of_client_.assign(static_cast<std::size_t>(ctx_->num_clients()), 0);
@@ -52,8 +47,8 @@ std::size_t WeightSharingAlgorithm::SlotOf(int client_id) const {
   return slot_of_client_[static_cast<std::size_t>(client_id)];
 }
 
-// mhb-obs-phase: parallel — RunClient may execute concurrently; only
-// pre-registered per-thread-sink calls (Add/Observe) are legal here.
+// mhb-obs-phase: parallel — RunClient may execute concurrently; it stages
+// its upload and leaves all counting to FinishRound.
 void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
   MHB_CHECK(ctx_ != nullptr) << "Setup not called";
   obs::Tracer* const tracer = ctx_->config->obs.tracer;
@@ -81,14 +76,7 @@ void WeightSharingAlgorithm::RunClient(int client_id, int round, Rng& rng) {
   extract_span.Arg("client", static_cast<std::int64_t>(client_id));
   fl::ClientUpdate update =
       fl::ExtractUpdate(*built.net, built.mapping, weight);
-  if (obs_ids_ready_) {
-    std::int64_t params = 0;
-    for (const auto& v : update.values) {
-      params += static_cast<std::int64_t>(v.numel());
-    }
-    extract_span.Arg("params", params);
-    ctx_->config->obs.registry->Add(obs_upload_params_id_, params);
-  }
+  if (tracer != nullptr) extract_span.Arg("params", update.numel());
   staged_[SlotOf(client_id)] = std::move(update);
 }
 
@@ -100,10 +88,12 @@ void WeightSharingAlgorithm::FinishRound(int round, Rng& rng) {
   obs::Span merge_span(ctx_ != nullptr ? ctx_->config->obs.tracer : nullptr,
                        "aggregate", "server");
   std::int64_t merged = 0;
+  std::int64_t params = 0;
   for (const auto& update : staged_) {
     if (!update.empty()) {
       averager_.Accumulate(update, global_->store());
       ++merged;
+      params += update.numel();
     }
   }
   staged_.clear();
@@ -112,7 +102,10 @@ void WeightSharingAlgorithm::FinishRound(int round, Rng& rng) {
   }
   merge_span.Arg("updates", merged);
   merge_span.End();
-  if (reg != nullptr) reg->AddNamed("agg_updates", merged);
+  if (reg != nullptr) {
+    reg->AddNamed("agg_updates", merged);
+    reg->AddNamed("upload_params", params);
+  }
   PostAggregate(round, rng);
 }
 

@@ -6,6 +6,12 @@
 
 namespace mhbench::fl {
 
+std::int64_t ClientUpdate::numel() const {
+  std::int64_t n = 0;
+  for (const Tensor& v : values) n += static_cast<std::int64_t>(v.numel());
+  return n;
+}
+
 ClientUpdate ExtractUpdate(nn::Module& model,
                            const models::ParamMapping& mapping,
                            double weight) {

@@ -7,6 +7,7 @@
 // SHeteroFL, FedRolex, DepthFL, InclusiveFL and FeDepth.
 #pragma once
 
+#include <cstdint>
 #include <map>
 
 #include "fl/param_store.h"
@@ -22,6 +23,8 @@ struct ClientUpdate {
   double weight = 0.0;
 
   bool empty() const { return values.empty(); }
+  // Parameters uploaded: the total element count of `values`.
+  std::int64_t numel() const;
 };
 
 // Copies a trained model's parameters into a staged update.  Touches only

@@ -74,9 +74,9 @@ class SnapshotWriter {
   // `obs`, the write is wrapped in a "snapshot_write" tracer span and
   // publishes `checkpoint_writes` / `checkpoint_bytes` /
   // `checkpoint_write_us` counters to the registry (serial barrier phases
-  // only — the counters land in the calling thread's sink).  Bytes and
-  // write counts are thread-count independent (the resume determinism test
-  // asserts it); write_us is wall time and is only asserted non-zero.
+  // only — the counters are published at the next Flush/EndRound).  Bytes
+  // and write counts are thread-count independent (the resume determinism
+  // test asserts it); write_us is wall time and is only asserted non-zero.
   void WriteFile(const std::string& path,
                  const obs::ObsConfig* obs = nullptr) const;
 

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <sstream>
 #include <utility>
 
 #include "core/error.h"
@@ -22,6 +23,15 @@
 #include "tensor/scratch.h"
 
 namespace mhbench::fl {
+
+namespace {
+
+// The device tier a client's rows and tier-keyed rollups are filed under.
+std::string TierName(const ClientSystemProfile& sys) {
+  return sys.device_tier.empty() ? "untiered" : sys.device_tier;
+}
+
+}  // namespace
 
 double FlContext::LrMultiplier(int round) const {
   if (round < 0) return 1.0;
@@ -93,19 +103,38 @@ FlEngine::FlEngine(const data::Task& task, FlConfig config,
                    std::vector<ClientAssignment> assignments,
                    MhflAlgorithm& algorithm)
     : config_(config), algorithm_(algorithm), rng_(config.seed) {
-  // Eval settings are first read after training starts (eval_every at the
-  // first round barrier), so reject nonsense here, before Setup.
-  auto require = [](bool ok, const char* field, const char* rule, int got) {
+  // Reject nonsense here, before Setup: otherwise a bad value either runs
+  // to completion with a meaningless result (sample_fraction), or fails
+  // mid-run on a pool worker (batch_size) or at the first round barrier
+  // (eval_every).  rounds == 0 stays legal: a resume with it must reach
+  // the snapshot's round-count check.
+  auto require = [](bool ok, const char* field, const char* rule,
+                    double got) {
     if (!ok) {
-      throw Error(std::string("FlConfig.") + field + " must be " + rule +
-                  ", got " + std::to_string(got));
+      std::ostringstream msg;
+      msg << "FlConfig." << field << " must be " << rule << ", got " << got;
+      throw Error(msg.str());
     }
   };
+  require(config_.rounds >= 0, "rounds", ">= 0", config_.rounds);
+  require(config_.sample_fraction > 0.0 && config_.sample_fraction <= 1.0,
+          "sample_fraction", "in (0, 1]", config_.sample_fraction);
+  require(config_.min_sampled >= 0, "min_sampled", ">= 0",
+          config_.min_sampled);
+  require(config_.local_epochs >= 1, "local_epochs", ">= 1",
+          config_.local_epochs);
+  require(config_.batch_size >= 1, "batch_size", ">= 1", config_.batch_size);
+  require(config_.round_deadline_s >= 0.0, "round_deadline_s",
+          ">= 0 (0 = no deadline)", config_.round_deadline_s);
   require(config_.eval_every >= 1, "eval_every", ">= 1", config_.eval_every);
   require(config_.eval_max_samples >= 0, "eval_max_samples",
           ">= 0 (0 = full test set)", config_.eval_max_samples);
   require(config_.stability_max_samples >= 0, "stability_max_samples",
           ">= 0 (0 = full test set)", config_.stability_max_samples);
+  require(config_.num_threads >= 1, "num_threads", ">= 1",
+          config_.num_threads);
+  require(config_.checkpoint_every >= 0, "checkpoint_every",
+          ">= 0 (0 = never)", config_.checkpoint_every);
   ctx_.task = &task;
   ctx_.config = &config_;
   if (config_.num_threads > 1) {
@@ -169,83 +198,26 @@ RunResult FlEngine::Run() {
     }
   } gemm_pool_scope(config_.threaded_gemm ? pool_.get() : nullptr);
 
-  // All counters are registered serially up front so concurrent Add calls
-  // from the dispatch phase only ever touch pre-sized per-thread sinks.
-  struct CounterIds {
-    obs::Registry::CounterId selected{}, offline{}, dropped{}, trained{},
-        bytes_up{}, bytes_down{}, train_mflops{}, pool_tasks{}, gemm_flops{},
-        gemm_flops_bf16{}, gemm_flops_int8{};
-  } ids;
-  // Histograms follow the same rule: registered serially, observed from
-  // any thread, merged at the barrier.  client_wall_us is wall-clock (its
-  // quantiles vary run to run); bytes_up / train_mflops distributions are
-  // pure functions of the cost model and stay thread-count independent.
-  struct HistIds {
-    obs::Registry::HistogramId client_wall_us{}, client_bytes_up{},
-        client_train_mflops{};
-  } hids;
-  // Tier-keyed rollups (DESIGN.md §5j): every client-scoped counter and
-  // histogram also accumulates into a `<base>@<tier>` twin keyed by the
-  // client's device tier.  Tiers and ids are fixed serially here from the
-  // assignment table, so the dispatch phase only ever touches pre-registered
-  // ids; per-thread sinks + barrier merge keep the per-tier totals exactly
-  // as thread-count independent as the untiered ones.
-  struct TierIds {
-    std::string name;
-    obs::Registry::CounterId selected{}, offline{}, dropped{}, trained{},
-        bytes_up{}, bytes_down{}, train_mflops{};
-    obs::Registry::HistogramId client_wall_us{}, client_bytes_up{},
-        client_train_mflops{};
-  };
-  std::vector<TierIds> tiers;
-  // Per client: index into `tiers`, and the tier's name for ClientRow.
-  std::vector<std::size_t> client_tier;
-  // mhb-obs-phase: serial — pre-dispatch registration and phase-1 counting.
+  // mhb-obs-phase: serial — registration and phase-1 selection; the
+  // dispatch below makes no registry call.
   if (reg != nullptr) {
-    ids.selected = reg->Counter("clients_selected");
-    ids.offline = reg->Counter("clients_offline");
-    ids.dropped = reg->Counter("clients_dropped");
-    ids.trained = reg->Counter("clients_trained");
-    ids.bytes_up = reg->Counter("bytes_up");
-    ids.bytes_down = reg->Counter("bytes_down");
-    ids.train_mflops = reg->Counter("train_mflops");
-    ids.pool_tasks = reg->Counter("pool_tasks");
-    ids.gemm_flops = reg->Counter("gemm_flops");
-    // Per-precision kernel work (tensor/gemm.h): reduced-precision eval
-    // flops count into their own totals, so the registry separates f32
-    // training work from bf16/int8 eval work.  Zero when eval_precision
-    // is f32.
-    ids.gemm_flops_bf16 = reg->Counter("gemm_flops_bf16");
-    ids.gemm_flops_int8 = reg->Counter("gemm_flops_int8");
-    hids.client_wall_us = reg->Histogram("client_wall_us");
-    hids.client_bytes_up = reg->Histogram("client_bytes_up");
-    hids.client_train_mflops = reg->Histogram("client_train_mflops");
-    client_tier.reserve(ctx_.assignments.size());
-    for (const auto& a : ctx_.assignments) {
-      const std::string tier =
-          a.system.device_tier.empty() ? "untiered" : a.system.device_tier;
-      std::size_t t = 0;
-      for (; t < tiers.size(); ++t) {
-        if (tiers[t].name == tier) break;
-      }
-      if (t == tiers.size()) {
-        TierIds ti;
-        ti.name = tier;
-        ti.selected = reg->Counter("clients_selected@" + tier);
-        ti.offline = reg->Counter("clients_offline@" + tier);
-        ti.dropped = reg->Counter("clients_dropped@" + tier);
-        ti.trained = reg->Counter("clients_trained@" + tier);
-        ti.bytes_up = reg->Counter("bytes_up@" + tier);
-        ti.bytes_down = reg->Counter("bytes_down@" + tier);
-        ti.train_mflops = reg->Counter("train_mflops@" + tier);
-        ti.client_wall_us = reg->Histogram("client_wall_us@" + tier);
-        ti.client_bytes_up = reg->Histogram("client_bytes_up@" + tier);
-        ti.client_train_mflops =
-            reg->Histogram("client_train_mflops@" + tier);
-        tiers.push_back(std::move(ti));
-      }
-      client_tier.push_back(t);
+    // Engine-level counters are added at the round barrier.  Registering
+    // them (and the client-scoped names of every fleet tier, which
+    // EndRound derives from the staged client rows) up front fixes the
+    // name set, so exports list zero-valued entries identically at any
+    // thread count and for tiers that are never sampled.
+    for (const char* name :
+         {"pool_tasks", "gemm_flops", "gemm_flops_bf16", "gemm_flops_int8"}) {
+      reg->Counter(name);
     }
+    std::vector<std::string> tiers;
+    for (const auto& a : ctx_.assignments) {
+      const std::string tier = TierName(a.system);
+      if (std::find(tiers.begin(), tiers.end(), tier) == tiers.end()) {
+        tiers.push_back(tier);
+      }
+    }
+    reg->RegisterClientTiers(tiers);
   }
   core::ThreadPool::Stats pool_base =
       pool_ != nullptr ? pool_->stats() : core::ThreadPool::Stats{};
@@ -314,17 +286,10 @@ RunResult FlEngine::Run() {
     // Per-client timeline rows, built serially for every sampled client
     // (dropped ones included, with their drop reason).  Each participant
     // remembers its row index so the dispatch lambda can write the measured
-    // wall time into its own slot without synchronization.
+    // wall time into its own slot without synchronization.  EndRound
+    // derives every client-scoped counter and histogram from these rows.
     std::vector<obs::Registry::ClientRow> client_rows;
     std::vector<std::size_t> participant_row;
-    // Per participant: index into `tiers`, for the dispatch lambda's
-    // tier-keyed increments (pre-registered ids, no locks on the hot path).
-    std::vector<std::size_t> participant_tier;
-    // Per-tier selected/offline/dropped tallies for this round, added once
-    // after the loop (serial, like the untiered bulk Adds below).
-    std::vector<std::int64_t> tier_selected(tiers.size(), 0);
-    std::vector<std::int64_t> tier_offline(tiers.size(), 0);
-    std::vector<std::int64_t> tier_dropped(tiers.size(), 0);
     double round_time = 0.0;
     int round_offline = 0;
     int round_dropped = 0;
@@ -333,16 +298,13 @@ RunResult FlEngine::Run() {
       const double client_time = sys.compute_time_s + sys.comm_time_s;
       ++result.total_participations;
       std::size_t row_idx = 0;
-      std::size_t tier_idx = 0;
       if (reg != nullptr) {
-        tier_idx = client_tier[static_cast<std::size_t>(c)];
-        ++tier_selected[tier_idx];
         row_idx = client_rows.size();
         obs::Registry::ClientRow row;
         row.run = algorithm_.name();
         row.round = round;
         row.client = c;
-        row.device_tier = tiers[tier_idx].name;
+        row.device_tier = TierName(sys);
         row.sim_compute_s = sys.compute_time_s;
         row.sim_comm_s = sys.comm_time_s;
         row.memory_mb = sys.memory_mb;
@@ -353,10 +315,7 @@ RunResult FlEngine::Run() {
         // State heterogeneity: the device is offline this round.
         ++result.offline_skips;
         ++round_offline;
-        if (reg != nullptr) {
-          client_rows[row_idx].drop_reason = "offline";
-          ++tier_offline[tier_idx];
-        }
+        if (reg != nullptr) client_rows[row_idx].drop_reason = "offline";
         continue;
       }
       if (config_.round_deadline_s > 0 &&
@@ -364,19 +323,16 @@ RunResult FlEngine::Run() {
         // Straggler: the synchronous round closes without this client.
         ++result.straggler_drops;
         ++round_dropped;
-        if (reg != nullptr) {
-          client_rows[row_idx].drop_reason = "straggler";
-          ++tier_dropped[tier_idx];
-        }
+        if (reg != nullptr) client_rows[row_idx].drop_reason = "straggler";
         continue;
       }
       if (reg != nullptr) {
+        // The cost model charges comm_mb for the full up+down payload.
         auto& row = client_rows[row_idx];
         row.bytes_up = static_cast<std::int64_t>(sys.comm_mb * 5e5);
         row.bytes_down = static_cast<std::int64_t>(sys.comm_mb * 5e5);
         row.train_mflops = static_cast<std::int64_t>(sys.train_gflops * 1e3);
         participant_row.push_back(row_idx);
-        participant_tier.push_back(tier_idx);
       }
       participants.push_back(
           {c, round_rng.Fork(static_cast<std::uint64_t>(c))});
@@ -387,16 +343,6 @@ RunResult FlEngine::Run() {
       round_time = config_.round_deadline_s;
     }
     select_span.End();
-    if (reg != nullptr) {
-      reg->Add(ids.selected, static_cast<std::int64_t>(sampled.size()));
-      reg->Add(ids.offline, round_offline);
-      reg->Add(ids.dropped, round_dropped);
-      for (std::size_t t = 0; t < tiers.size(); ++t) {
-        if (tier_selected[t] != 0) reg->Add(tiers[t].selected, tier_selected[t]);
-        if (tier_offline[t] != 0) reg->Add(tiers[t].offline, tier_offline[t]);
-        if (tier_dropped[t] != 0) reg->Add(tiers[t].dropped, tier_dropped[t]);
-      }
-    }
 
     std::vector<int> participant_ids;
     participant_ids.reserve(participants.size());
@@ -405,12 +351,11 @@ RunResult FlEngine::Run() {
 
     // Phase 2: dispatch.  Each participant trains with the Rng fixed above;
     // algorithms stage uploads per client and merge them in participant
-    // order inside FinishRound.  Counter increments land in per-thread
-    // sinks; integer addition commutes, so totals match the serial run.
+    // order inside FinishRound.  Each task writes only its own client
+    // row's wall time; no registry call happens until the barrier.
     obs::Span dispatch_span(tracer, "dispatch", "fl");
     dispatch_span.Arg("participants",
                       static_cast<std::int64_t>(participants.size()));
-    // mhb-obs-phase: parallel — per-thread sinks only inside the dispatch.
     core::ParallelFor(pool_.get(), participants.size(), [&](std::size_t i) {
       const int client_id = participants[i].client_id;
       const auto& sys =
@@ -433,32 +378,11 @@ RunResult FlEngine::Run() {
               std::chrono::steady_clock::now() - client_wall_start)
               .count();
       if (reg != nullptr) {
-        // The cost model charges comm_mb for the full up+down payload.
-        const auto bytes = static_cast<std::int64_t>(sys.comm_mb * 5e5);
-        const auto mflops =
-            static_cast<std::int64_t>(sys.train_gflops * 1e3);
-        const auto wall_us =
-            static_cast<std::int64_t>(client_wall_ms * 1e3);
-        reg->Add(ids.bytes_up, bytes);
-        reg->Add(ids.bytes_down, bytes);
-        reg->Add(ids.train_mflops, mflops);
-        reg->Add(ids.trained, 1);
-        reg->Observe(hids.client_wall_us, wall_us);
-        reg->Observe(hids.client_bytes_up, bytes);
-        reg->Observe(hids.client_train_mflops, mflops);
-        const TierIds& tier = tiers[participant_tier[i]];
-        reg->Add(tier.bytes_up, bytes);
-        reg->Add(tier.bytes_down, bytes);
-        reg->Add(tier.train_mflops, mflops);
-        reg->Add(tier.trained, 1);
-        reg->Observe(tier.client_wall_us, wall_us);
-        reg->Observe(tier.client_bytes_up, bytes);
-        reg->Observe(tier.client_train_mflops, mflops);
         client_rows[participant_row[i]].wall_ms = client_wall_ms;
       }
     });
     dispatch_span.End();
-    // mhb-obs-phase: serial — dispatch joined; barrier merge and gauges.
+    // mhb-obs-phase: serial — dispatch joined; round barrier and gauges.
 
     {
       obs::Span merge_span(tracer, "merge", "fl");
@@ -497,7 +421,7 @@ RunResult FlEngine::Run() {
     round_span.End();
 
     if (reg != nullptr) {
-      // Round barrier: merge per-thread sinks and snapshot this round's
+      // Round barrier: stage the client rows and snapshot this round's
       // counter deltas + gauges into a manifest row.
       const double wall_ms =
           std::chrono::duration<double, std::milli>(
@@ -508,24 +432,28 @@ RunResult FlEngine::Run() {
       reg->SetGauge("sim_time_s", sim_time);
       if (evaluated) reg->SetGauge("global_acc", eval_acc);
       const std::uint64_t gemm_now = kernels::TotalGemmFlops();
-      reg->Add(ids.gemm_flops,
-               static_cast<std::int64_t>(gemm_now - gemm_base));
+      reg->AddNamed("gemm_flops",
+                    static_cast<std::int64_t>(gemm_now - gemm_base));
       gemm_base = gemm_now;
+      // Per-precision kernel work (tensor/gemm.h): reduced-precision eval
+      // flops count into their own totals, so the registry separates f32
+      // training work from bf16/int8 eval work.  Zero when eval_precision
+      // is f32.
       const std::uint64_t gemm_bf16_now = kernels::TotalGemmFlopsBf16();
-      reg->Add(ids.gemm_flops_bf16,
-               static_cast<std::int64_t>(gemm_bf16_now - gemm_bf16_base));
+      reg->AddNamed("gemm_flops_bf16",
+                    static_cast<std::int64_t>(gemm_bf16_now - gemm_bf16_base));
       gemm_bf16_base = gemm_bf16_now;
       const std::uint64_t gemm_int8_now = kernels::TotalGemmFlopsInt8();
-      reg->Add(ids.gemm_flops_int8,
-               static_cast<std::int64_t>(gemm_int8_now - gemm_int8_base));
+      reg->AddNamed("gemm_flops_int8",
+                    static_cast<std::int64_t>(gemm_int8_now - gemm_int8_base));
       gemm_int8_base = gemm_int8_now;
       reg->SetGauge("scratch_bytes_peak",
                     static_cast<double>(kernels::ScratchPeakBytesAllThreads()));
       if (pool_ != nullptr) {
         const core::ThreadPool::Stats now = pool_->stats();
-        reg->Add(ids.pool_tasks, static_cast<std::int64_t>(
-                                     now.tasks_executed -
-                                     pool_base.tasks_executed));
+        reg->AddNamed("pool_tasks",
+                      static_cast<std::int64_t>(now.tasks_executed -
+                                                pool_base.tasks_executed));
         reg->SetGauge("pool_idle_ms",
                       static_cast<double>(now.idle_ns - pool_base.idle_ns) /
                           1e6);
@@ -540,7 +468,7 @@ RunResult FlEngine::Run() {
     }
 
     // Divergence ledger, also after EndRound: the counter component must
-    // hash the merged totals, not a mid-round per-thread view.  Read-only
+    // hash the published totals, including this round's client rows.  Read-only
     // over engine state, so auditing cannot perturb the run it audits.
     if (config_.obs.det_audit != nullptr) {
       AuditRound(round);
@@ -555,8 +483,8 @@ RunResult FlEngine::Run() {
 
     if (config_.checkpoint_every > 0 &&
         (round + 1) % config_.checkpoint_every == 0) {
-      // After the round barrier: all sinks merged (EndRound above when a
-      // registry is attached), no client work in flight.
+      // After the round barrier: the round's totals are published (EndRound
+      // above when a registry is attached), no client work in flight.
       obs::Span ckpt_span(tracer, "checkpoint", "fl");
       WriteCheckpoint(round + 1, sim_time, result);
     }
@@ -586,7 +514,8 @@ RunResult FlEngine::Run() {
             ctx_.task->test, config_.stability_max_samples);
       });
   stability_span.End();
-  if (reg != nullptr) reg->FlushThreadSinks();
+  // Publishes the counters the last checkpoint write added after EndRound.
+  if (reg != nullptr) reg->Flush();
   return result;
 }
 

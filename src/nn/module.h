@@ -42,8 +42,8 @@ class Module {
   Module(const Module&) = delete;
   Module& operator=(const Module&) = delete;
 
-  // Computes the output for `x`.  `train` toggles batch statistics /
-  // dropout.  The module caches the activations Backward needs.
+  // Computes the output for `x`.  `train` toggles batch statistics.  The
+  // module caches the activations Backward needs.
   virtual Tensor Forward(const Tensor& x, bool train) = 0;
 
   // Propagates `grad_out` (gradient of the loss w.r.t. this module's last

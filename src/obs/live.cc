@@ -269,26 +269,18 @@ std::string LiveExporter::MetricsTextLocked() const {
     }
   };
   for (const auto& [name, value] : snap.counters) {
-    const auto at = name.find('@');
-    if (at == std::string::npos) {
-      const std::string metric = "mhb_counter_" + MetricName(name);
-      type_line(metric, "counter");
-      out << metric << " " << value << "\n";
-    } else {
-      const std::string metric =
-          "mhb_counter_" + MetricName(name.substr(0, at));
-      type_line(metric, "counter");
-      out << metric << "{tier=\"" << JsonEscape(name.substr(at + 1))
-          << "\"} " << value << "\n";
-    }
+    const TierKeyParts key = SplitTierKey(name);
+    const std::string metric = "mhb_counter_" + MetricName(key.base);
+    type_line(metric, "counter");
+    out << metric;
+    if (!key.tier.empty()) out << "{tier=\"" << JsonEscape(key.tier) << "\"}";
+    out << " " << value << "\n";
   }
   last_type.clear();
   for (const auto& [name, h] : snap.hists) {
-    const auto at = name.find('@');
-    const std::string base = at == std::string::npos ? name : name.substr(0, at);
-    const std::string tier =
-        at == std::string::npos ? "" : JsonEscape(name.substr(at + 1));
-    const std::string metric = "mhb_hist_" + MetricName(base);
+    const TierKeyParts key = SplitTierKey(name);
+    const std::string tier = JsonEscape(key.tier);
+    const std::string metric = "mhb_hist_" + MetricName(key.base);
     type_line(metric, "summary");
     auto label = [&](const char* quantile) {
       std::string l = "{";
@@ -351,7 +343,7 @@ std::string LiveExporter::StatusJsonLocked() const {
   {
     std::size_t i = 0;
     for (const auto& [name, value] : snap.counters) {
-      if (name.find('@') != std::string::npos) continue;
+      if (!SplitTierKey(name).tier.empty()) continue;
       out << (i++ == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(name)
           << "\": " << value;
     }
@@ -361,7 +353,7 @@ std::string LiveExporter::StatusJsonLocked() const {
   {
     std::size_t i = 0;
     for (const auto& [name, h] : snap.hists) {
-      if (name.find('@') != std::string::npos) continue;
+      if (!SplitTierKey(name).tier.empty()) continue;
       out << (i++ == 0 ? "\n" : ",\n") << "    \"" << JsonEscape(name)
           << "\": {\"count\":" << h.count() << ",\"sum\":" << h.sum
           << ",\"min\":" << h.min << ",\"max\":" << h.max
@@ -375,15 +367,15 @@ std::string LiveExporter::StatusJsonLocked() const {
   {
     std::map<std::string, std::map<std::string, std::int64_t>> tc;
     for (const auto& [name, value] : snap.counters) {
-      const auto at = name.find('@');
-      if (at == std::string::npos) continue;
-      tc[name.substr(at + 1)][name.substr(0, at)] = value;
+      const TierKeyParts key = SplitTierKey(name);
+      if (key.tier.empty()) continue;
+      tc[key.tier][key.base] = value;
     }
     std::map<std::string, std::map<std::string, Registry::HistogramData>> th;
     for (const auto& [name, h] : snap.hists) {
-      const auto at = name.find('@');
-      if (at == std::string::npos) continue;
-      th[name.substr(at + 1)][name.substr(0, at)] = h;
+      const TierKeyParts key = SplitTierKey(name);
+      if (key.tier.empty()) continue;
+      th[key.tier][key.base] = h;
     }
     std::set<std::string> tiers;
     for (const auto& [tier, unused] : tc) tiers.insert(tier);

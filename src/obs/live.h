@@ -11,9 +11,9 @@
 //       been crossed for a configurable wall-time budget.
 //
 // Determinism contract: the exporter is strictly READ-ONLY on obs state.
-// It reads only through Registry::SnapshotTotals(), which returns flushed
-// round-barrier totals under the registry lock and never touches the
-// per-thread sinks; it never writes a counter, gauge or histogram into the
+// It reads only through Registry::SnapshotTotals(), which returns
+// published round-barrier totals under the registry lock and never reads
+// staged adds; it never writes a counter, gauge or histogram into the
 // registry (the stall counter lives on the exporter itself precisely so a
 // watchdog firing cannot change registry totals); and nothing it computes
 // feeds back into engine execution.  Enabling it therefore cannot change

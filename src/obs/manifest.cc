@@ -163,12 +163,12 @@ void WriteTiersCsv(const std::string& run_dir, const Registry& registry) {
   std::set<std::string> hist_cols;
   for (const auto& row : registry.rounds()) {
     for (const auto& [k, v] : row.counters) {
-      const auto at = k.find('@');
-      if (at != std::string::npos) counter_cols.insert(k.substr(0, at));
+      const TierKeyParts key = SplitTierKey(k);
+      if (!key.tier.empty()) counter_cols.insert(key.base);
     }
     for (const auto& [k, v] : row.hists) {
-      const auto at = k.find('@');
-      if (at != std::string::npos) hist_cols.insert(k.substr(0, at));
+      const TierKeyParts key = SplitTierKey(k);
+      if (!key.tier.empty()) hist_cols.insert(key.base);
     }
   }
   if (counter_cols.empty() && hist_cols.empty()) return;
@@ -184,23 +184,23 @@ void WriteTiersCsv(const std::string& run_dir, const Registry& registry) {
   for (const auto& row : registry.rounds()) {
     std::set<std::string> row_tiers;
     for (const auto& [k, v] : row.counters) {
-      const auto at = k.find('@');
-      if (at != std::string::npos) row_tiers.insert(k.substr(at + 1));
+      const std::string tier = SplitTierKey(k).tier;
+      if (!tier.empty()) row_tiers.insert(tier);
     }
     for (const auto& [k, v] : row.hists) {
-      const auto at = k.find('@');
-      if (at != std::string::npos) row_tiers.insert(k.substr(at + 1));
+      const std::string tier = SplitTierKey(k).tier;
+      if (!tier.empty()) row_tiers.insert(tier);
     }
     for (const auto& tier : row_tiers) {
       std::vector<std::string> cells = {row.run, std::to_string(row.round),
                                         tier};
       for (const auto& c : counter_cols) {
-        auto it = row.counters.find(c + "@" + tier);
+        auto it = row.counters.find(TierKey(c, tier));
         cells.push_back(
             it == row.counters.end() ? "0" : std::to_string(it->second));
       }
       for (const auto& h : hist_cols) {
-        auto it = row.hists.find(h + "@" + tier);
+        auto it = row.hists.find(TierKey(h, tier));
         if (it == row.hists.end()) {
           cells.push_back("0");
           cells.push_back("");
@@ -289,16 +289,16 @@ std::string WriteRunManifest(const std::string& dir, const RunManifest& m,
   if (registry != nullptr) {
     std::map<std::string, std::map<std::string, std::int64_t>> tier_counters;
     for (const auto& [name, value] : registry->Totals()) {
-      const auto at = name.find('@');
-      if (at == std::string::npos) continue;
-      tier_counters[name.substr(at + 1)][name.substr(0, at)] = value;
+      const TierKeyParts key = SplitTierKey(name);
+      if (key.tier.empty()) continue;
+      tier_counters[key.tier][key.base] = value;
     }
     std::map<std::string, std::map<std::string, Registry::HistogramData>>
         tier_hists;
     for (const auto& [name, h] : registry->Histograms()) {
-      const auto at = name.find('@');
-      if (at == std::string::npos || h.empty()) continue;
-      tier_hists[name.substr(at + 1)][name.substr(0, at)] = h;
+      const TierKeyParts key = SplitTierKey(name);
+      if (key.tier.empty() || h.empty()) continue;
+      tier_hists[key.tier][key.base] = h;
     }
     std::set<std::string> tier_names;
     for (const auto& [tier, unused] : tier_counters) tier_names.insert(tier);

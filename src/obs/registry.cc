@@ -1,7 +1,7 @@
 #include "obs/registry.h"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <limits>
 #include <utility>
 
@@ -9,16 +9,20 @@ namespace mhbench::obs {
 
 namespace {
 
-struct TlEntry {
-  const void* registry = nullptr;
-  std::uint64_t generation = 0;
-  void* sink = nullptr;
-};
-thread_local std::vector<TlEntry> tl_sinks;
+// The client-scoped metrics EndRound derives from the staged client rows.
+// client_wall_us is wall-clock (its quantiles vary run to run); the other
+// values are pure functions of the cost model.
+constexpr std::array<const char*, 7> kClientCounters = {
+    "clients_selected", "clients_offline", "clients_dropped",
+    "clients_trained",  "bytes_up",        "bytes_down",
+    "train_mflops"};
+constexpr std::array<const char*, 3> kClientHistograms = {
+    "client_wall_us", "client_bytes_up", "client_train_mflops"};
 
-std::uint64_t NextGeneration() {
-  static std::atomic<std::uint64_t> g{1};
-  return g.fetch_add(1, std::memory_order_relaxed);
+// Registry name of a client-scoped metric: `base` itself for the untiered
+// total ("" tier), otherwise its tier twin.
+std::string ClientKey(const char* base, const std::string& tier) {
+  return tier.empty() ? std::string(base) : TierKey(base, tier);
 }
 
 // std::bit_width without requiring <bit> (the TSan config builds with
@@ -34,6 +38,16 @@ int BitWidth(std::uint64_t v) {
 }
 
 }  // namespace
+
+std::string TierKey(const std::string& base, const std::string& tier) {
+  return base + "@" + tier;
+}
+
+TierKeyParts SplitTierKey(const std::string& name) {
+  const std::size_t at = name.find('@');
+  if (at == std::string::npos) return {name, ""};
+  return {name.substr(0, at), name.substr(at + 1)};
+}
 
 int Registry::BucketIndex(std::int64_t v) {
   if (v <= 0) return 0;
@@ -115,53 +129,43 @@ double Registry::HistogramData::Quantile(double q) const {
   return static_cast<double>(max);
 }
 
-Registry::Registry() : generation_(NextGeneration()) {}
-Registry::~Registry() = default;
-
 Registry::CounterId Registry::Counter(const std::string& name) {
   core::MutexLock lock(mu_);
+  return CounterLocked(name);
+}
+
+Registry::CounterId Registry::CounterLocked(const std::string& name) {
   auto it = ids_.find(name);
   if (it != ids_.end()) return it->second;
   const CounterId id = names_.size();
   names_.push_back(name);
   ids_.emplace(name, id);
   totals_.push_back(0);
+  pending_.push_back(0);
   round_base_.push_back(0);
   return id;
 }
 
 Registry::HistogramId Registry::Histogram(const std::string& name) {
   core::MutexLock lock(mu_);
+  return HistogramLocked(name);
+}
+
+Registry::HistogramId Registry::HistogramLocked(const std::string& name) {
   auto it = hist_ids_.find(name);
   if (it != hist_ids_.end()) return it->second;
   const HistogramId id = hist_names_.size();
   hist_names_.push_back(name);
   hist_ids_.emplace(name, id);
   hist_totals_.emplace_back();
+  hist_pending_.emplace_back();
   hist_round_.emplace_back();
   return id;
 }
 
-Registry::Sink* Registry::ThreadSink() {
-  for (auto& e : tl_sinks) {
-    if (e.registry == this && e.generation == generation_) {
-      return static_cast<Sink*>(e.sink);
-    }
-  }
-  auto sink = std::make_unique<Sink>();
-  Sink* raw = sink.get();
-  {
-    core::MutexLock lock(mu_);
-    sinks_.push_back(std::move(sink));
-  }
-  tl_sinks.push_back({this, generation_, raw});
-  return raw;
-}
-
 void Registry::Add(CounterId id, std::int64_t delta) {
-  Sink* sink = ThreadSink();
-  if (sink->values.size() <= id) sink->values.resize(id + 1, 0);
-  sink->values[id] += delta;
+  core::MutexLock lock(mu_);
+  pending_[id] += delta;
 }
 
 void Registry::AddNamed(const std::string& name, std::int64_t delta) {
@@ -169,9 +173,8 @@ void Registry::AddNamed(const std::string& name, std::int64_t delta) {
 }
 
 void Registry::Observe(HistogramId id, std::int64_t value) {
-  Sink* sink = ThreadSink();
-  if (sink->hists.size() <= id) sink->hists.resize(id + 1);
-  sink->hists[id].Observe(value);
+  core::MutexLock lock(mu_);
+  hist_pending_[id].Observe(value);
 }
 
 void Registry::ObserveNamed(const std::string& name, std::int64_t value) {
@@ -183,21 +186,66 @@ void Registry::SetGauge(const std::string& name, double value) {
   gauges_[name] = value;
 }
 
-void Registry::FlushLocked() {
-  for (auto& sink : sinks_) {
-    for (std::size_t id = 0; id < sink->values.size(); ++id) {
-      totals_[id] += sink->values[id];
-      sink->values[id] = 0;
+void Registry::RegisterClientTiers(const std::vector<std::string>& tiers) {
+  core::MutexLock lock(mu_);
+  std::vector<std::string> keyed = {""};  // "" = the untiered names
+  keyed.insert(keyed.end(), tiers.begin(), tiers.end());
+  for (const std::string& tier : keyed) {
+    for (const char* base : kClientCounters) {
+      CounterLocked(ClientKey(base, tier));
     }
-    for (std::size_t id = 0; id < sink->hists.size(); ++id) {
-      hist_totals_[id].Merge(sink->hists[id]);
-      hist_round_[id].Merge(sink->hists[id]);
-      sink->hists[id] = HistogramData{};
+    for (const char* base : kClientHistograms) {
+      HistogramLocked(ClientKey(base, tier));
     }
   }
 }
 
-void Registry::FlushThreadSinks() {
+void Registry::FoldClientRowsLocked() {
+  static const std::string kNoTier;
+  for (const ClientRow& row : client_rows_) {
+    const bool trained = row.drop_reason.empty();
+    // Parallel to kClientCounters / kClientHistograms.
+    const std::array<std::int64_t, kClientCounters.size()> counts = {
+        1,
+        row.drop_reason == "offline",
+        row.drop_reason == "straggler",
+        trained,
+        trained ? row.bytes_up : 0,
+        trained ? row.bytes_down : 0,
+        trained ? row.train_mflops : 0};
+    const std::array<std::int64_t, kClientHistograms.size()> observed = {
+        static_cast<std::int64_t>(row.wall_ms * 1e3), row.bytes_up,
+        row.train_mflops};
+    // The untiered names, then the row's `<base>@<tier>` twins.
+    for (const std::string* tier : {&kNoTier, &row.device_tier}) {
+      if (tier != &kNoTier && tier->empty()) continue;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        pending_[CounterLocked(ClientKey(kClientCounters[i], *tier))] +=
+            counts[i];
+      }
+      for (std::size_t i = 0; i < observed.size(); ++i) {
+        const HistogramId id =
+            HistogramLocked(ClientKey(kClientHistograms[i], *tier));
+        if (trained) hist_pending_[id].Observe(observed[i]);
+      }
+    }
+  }
+}
+
+void Registry::FlushLocked() {
+  for (std::size_t id = 0; id < pending_.size(); ++id) {
+    totals_[id] += pending_[id];
+    pending_[id] = 0;
+  }
+  for (std::size_t id = 0; id < hist_pending_.size(); ++id) {
+    if (hist_pending_[id].empty()) continue;
+    hist_totals_[id].Merge(hist_pending_[id]);
+    hist_round_[id].Merge(hist_pending_[id]);
+    hist_pending_[id] = HistogramData{};
+  }
+}
+
+void Registry::Flush() {
   core::MutexLock lock(mu_);
   FlushLocked();
 }
@@ -209,6 +257,7 @@ void Registry::EndRound(const std::string& run, int round) {
   std::vector<ClientRow> drained;
   {
     core::MutexLock lock(mu_);
+    FoldClientRowsLocked();
     FlushLocked();
     // Drain the staged client rows unconditionally: with no sink installed
     // they are simply discarded, so staging memory stays bounded by one
@@ -316,16 +365,14 @@ std::map<std::string, Registry::HistogramData> Registry::Histograms() const {
 void Registry::ImportTotals(
     const std::map<std::string, std::int64_t>& counters,
     const std::map<std::string, HistogramData>& hists) {
+  core::MutexLock lock(mu_);
   for (const auto& [name, delta] : counters) {
-    const CounterId id = Counter(name);
-    core::MutexLock lock(mu_);
+    const CounterId id = CounterLocked(name);
     totals_[id] += delta;
     round_base_[id] += delta;
   }
   for (const auto& [name, data] : hists) {
-    const HistogramId id = Histogram(name);
-    core::MutexLock lock(mu_);
-    hist_totals_[id].Merge(data);
+    hist_totals_[HistogramLocked(name)].Merge(data);
   }
 }
 

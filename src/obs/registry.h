@@ -1,43 +1,41 @@
-// Counter/gauge/histogram registry with deterministic parallel aggregation.
+// Counter/gauge/histogram registry with deterministic round aggregation.
 //
-// Counters are 64-bit integers (bytes, FLOPs, drops, task counts) that may
-// be incremented from any thread between round barriers: each thread writes
-// into a private sink (no locks, no atomics on the hot path after the
-// thread's first Add) and the engine merges all sinks serially at the round
-// barrier.  Integer addition is order-independent, so totals are identical
-// for any thread count — determinism is untouched.
+// Counters are 64-bit integers (bytes, FLOPs, drops, task counts).  Add
+// stages a delta into a pending table under the registry lock; Flush and
+// EndRound publish it into the totals.  Adds are safe from any thread and
+// integer addition is order-independent, so totals never depend on thread
+// count or interleaving; readers see only published state.
 //
 // Histograms are fixed log2-bucketed int64 distributions (latency µs,
-// bytes, batch sizes).  Observe() lands in the calling thread's sink like
-// counters; bucket counts, sums and min/max all merge with commutative
-// operations, so bucket totals are thread-count independent too.  Quantiles
-// (p50/p95/p99) are derived from the bucket counts at export time by linear
-// interpolation inside the crossing bucket, clamped to the observed
-// [min, max] — never tracked online.
+// bytes, batch sizes).  Observe() is staged and published like Add; bucket
+// counts, sums and min/max all merge with commutative operations.
+// Quantiles (p50/p95/p99) are derived from the bucket counts at export time
+// by linear interpolation inside the crossing bucket, clamped to the
+// observed [min, max] — never tracked online.
 //
 // Gauges are doubles (simulated time, wall time, accuracy) set only from
 // serial phases.
 //
-// EndRound snapshots the per-round counter deltas, histogram deltas and the
-// round's gauges into a row; the manifest writer turns the rows into
-// rounds.csv.  AddClientRow (serial phases only) stages the per-client
-// per-round timeline; EndRound drains the staged rows into the installed
-// client-row sink (obs/journal) — or discards them when no sink is
-// installed — so client-row memory is bounded by one round's cohort, never
-// O(fleet x rounds).
+// AddClientRow (serial phases only) stages one row per sampled client.
+// EndRound folds the staged rows into the client-scoped counters and
+// histograms, untiered and as `<base>@<tier>` twins — all per-client
+// accounting is this one serial pass at the round barrier — then snapshots
+// the round's counter deltas, histogram deltas and gauges into a row (the
+// manifest writer turns the rows into rounds.csv) and drains the client
+// rows into the installed client-row sink (obs/journal), or discards them
+// when none is installed, so client-row memory is bounded by one round's
+// cohort.
 //
 // Tier-keyed rollups (DESIGN.md §5j) are ordinary counters/histograms named
 // `<base>@<tier>` (e.g. "clients_trained@mem16g"); '@' never appears in
-// untiered names, so exporters can split on it to recover the (base, tier)
-// pair while every registry mechanism (sinks, barriers, round rows,
-// checkpoint import) applies unchanged.
+// untiered names.  TierKey / SplitTierKey below own that format, so every
+// exporter splits names the same way.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -47,6 +45,17 @@
 #include "core/thread_annotations.h"
 
 namespace mhbench::obs {
+
+// `<base>@<tier>`: the registry name of `base`'s rollup for one device tier.
+std::string TierKey(const std::string& base, const std::string& tier);
+
+// Splits a registry name at its '@': {base, tier} for a tier key, and
+// {name, ""} for an untiered name.
+struct TierKeyParts {
+  std::string base;
+  std::string tier;  // "" = untiered name
+};
+TierKeyParts SplitTierKey(const std::string& name);
 
 class Registry {
  public:
@@ -64,7 +73,7 @@ class Registry {
 
   // One histogram's merged state.  All fields combine with commutative,
   // associative operations (+, min, max), so merged totals are independent
-  // of thread count and merge order.
+  // of observation order.
   struct HistogramData {
     std::array<std::int64_t, kHistogramBuckets> buckets{};
     std::int64_t sum = 0;
@@ -80,8 +89,7 @@ class Registry {
     bool empty() const { return count() == 0; }
   };
 
-  Registry();
-  ~Registry();
+  Registry() = default;
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
@@ -89,23 +97,21 @@ class Registry {
   // Registers (or looks up) a counter and returns its id.  Thread-safe,
   // but intended for serial setup phases; ids are stable for the
   // registry's lifetime.
-  CounterId Counter(const std::string& name);
+  CounterId Counter(const std::string& name) MHB_EXCLUDES(mu_);
 
-  // Adds `delta` to the counter.  Safe to call concurrently from any
-  // thread; the value lands in the calling thread's sink until the next
-  // barrier merge.  Must not race with FlushThreadSinks/EndRound (the
-  // engine only merges at round barriers, when no client work is running).
-  void Add(CounterId id, std::int64_t delta);
+  // Stages `delta` for the counter; it becomes visible in the totals at
+  // the next Flush/EndRound.  Safe to call concurrently from any thread.
+  void Add(CounterId id, std::int64_t delta) MHB_EXCLUDES(mu_);
 
   // Serial convenience: register + add in one call.
   void AddNamed(const std::string& name, std::int64_t delta);
 
   // Registers (or looks up) a histogram; same threading contract as
   // Counter.  Histogram and counter names are independent namespaces.
-  HistogramId Histogram(const std::string& name);
+  HistogramId Histogram(const std::string& name) MHB_EXCLUDES(mu_);
 
   // Records one observation.  Same threading contract as Add.
-  void Observe(HistogramId id, std::int64_t value);
+  void Observe(HistogramId id, std::int64_t value) MHB_EXCLUDES(mu_);
 
   // Serial convenience: register + observe in one call.
   void ObserveNamed(const std::string& name, std::int64_t value);
@@ -113,20 +119,31 @@ class Registry {
   // Sets a gauge for the current round.  Serial phases only.
   void SetGauge(const std::string& name, double value);
 
-  // Merges every thread sink into the global totals.  Serial barrier only.
-  void FlushThreadSinks() MHB_EXCLUDES(mu_);
+  // Registers the client-scoped counters and histograms that EndRound
+  // folds client rows into, untiered and as `<base>@<tier>` twins for
+  // every name in `tiers`, so a tier that is never sampled still shows up
+  // (with zero totals) in every export.  Serial phases only.
+  void RegisterClientTiers(const std::vector<std::string>& tiers)
+      MHB_EXCLUDES(mu_);
 
-  // Flushes sinks, then snapshots this round's counter/histogram deltas and
-  // gauges into a row labelled (`run`, `round`).  Serial barrier only.
+  // Publishes every staged Add/Observe into the totals.  Serial phases
+  // only.
+  void Flush() MHB_EXCLUDES(mu_);
+
+  // Folds the staged client rows into the client-scoped counters and
+  // histograms, publishes everything staged, then snapshots this round's
+  // counter/histogram deltas and gauges into a row labelled (`run`,
+  // `round`).  With no client rows staged it registers no name.  Serial
+  // barrier only.
   void EndRound(const std::string& run, int round) MHB_EXCLUDES(mu_);
 
-  // Total for a counter (0 if never registered).  Includes only flushed
-  // sink contributions.
+  // Total for a counter (0 if never registered).  Includes only published
+  // adds.
   std::int64_t Total(const std::string& name) const;
   std::map<std::string, std::int64_t> Totals() const;
 
   // Merged state of one histogram (empty data if never registered) / all
-  // histograms.  Includes only flushed sink contributions.
+  // histograms.  Includes only published observations.
   HistogramData HistogramTotals(const std::string& name) const;
   std::map<std::string, HistogramData> Histograms() const;
 
@@ -148,7 +165,7 @@ class Registry {
     std::map<std::string, HistogramData> hists;  // this round's observations
   };
   // Lock-free read of guarded state: legal because it is called only from
-  // serial phases (manifest export), when no sink writer is live.
+  // serial phases (manifest export), when no EndRound can run concurrently.
   const std::vector<RoundRow>& rounds() const MHB_NO_THREAD_SAFETY_ANALYSIS {
     return rounds_;
   }
@@ -161,18 +178,17 @@ class Registry {
   void SetRoundSink(std::function<void(const RoundRow&)> sink)
       MHB_EXCLUDES(mu_);
 
-  // Lock-bounded cross-thread view of the *published* state: flushed
+  // Lock-bounded cross-thread view of the *published* state: published
   // counter/histogram totals plus the last completed round's label, gauges
-  // and the accuracy-curve points gathered from the round rows.  Reads only
-  // mutex-guarded merged state — never the per-thread sinks — so it is safe
-  // to call from a background exporter thread while client work is running;
-  // it simply cannot observe anything that has not crossed a round barrier
-  // yet.  Strictly read-only: the live exporter's determinism contract
-  // (DESIGN.md §5h) depends on this being the only registry surface it
-  // touches.
+  // and the accuracy-curve points gathered from the round rows.  Never
+  // reads staged adds, so it is safe to call from a background exporter
+  // thread while client work is running; it simply cannot observe anything
+  // that has not crossed a round barrier yet.  Strictly read-only: the live
+  // exporter's determinism contract (DESIGN.md §5h) depends on this being
+  // the only registry surface it touches.
   struct LiveSnapshot {
-    std::map<std::string, std::int64_t> counters;    // flushed totals
-    std::map<std::string, HistogramData> hists;      // flushed, non-empty
+    std::map<std::string, std::int64_t> counters;    // published totals
+    std::map<std::string, HistogramData> hists;      // published, non-empty
     int last_round = -1;                   // -1 before the first EndRound
     std::string last_run;                  // last round row's run label
     std::map<std::string, double> last_gauges;  // last round row's gauges
@@ -185,11 +201,17 @@ class Registry {
 
   // One sampled client in one round: the cost model's simulated clock
   // joined with the measured wall time and the round's drop decision.
+  // EndRound derives every client-scoped counter and histogram from these
+  // rows: trained rows (empty drop_reason) contribute bytes, mflops and the
+  // three histograms, dropped rows only their selected/offline/dropped
+  // counts.
   struct ClientRow {
     std::string run;
     int round = 0;
     int client = 0;
-    std::string device_tier;  // "" = untiered (DESIGN.md §5j taxonomy)
+    // DESIGN.md §5j taxonomy; the engine writes "untiered" for a client
+    // without one.  A row with "" folds into the untiered names only.
+    std::string device_tier;
     std::string drop_reason;  // "" (trained), "offline", "straggler"
     double sim_compute_s = 0.0;
     double sim_comm_s = 0.0;
@@ -213,38 +235,33 @@ class Registry {
       MHB_EXCLUDES(mu_);
 
  private:
-  struct Sink {
-    std::vector<std::int64_t> values;  // indexed by CounterId
-    std::vector<HistogramData> hists;  // indexed by HistogramId
-  };
-
-  Sink* ThreadSink() MHB_EXCLUDES(mu_);
+  CounterId CounterLocked(const std::string& name) MHB_REQUIRES(mu_);
+  HistogramId HistogramLocked(const std::string& name) MHB_REQUIRES(mu_);
+  void FoldClientRowsLocked() MHB_REQUIRES(mu_);
   void FlushLocked() MHB_REQUIRES(mu_);
 
-  const std::uint64_t generation_;
-  // Guards all registration/merge state below.  Sink *contents* are
-  // deliberately unguarded: each Sink is written by its owning thread only
-  // and read by the serial barrier merge (FlushLocked), which cannot run
-  // concurrently with client work by the engine's round-barrier contract.
   mutable core::Mutex mu_;
   std::vector<std::string> names_ MHB_GUARDED_BY(mu_);
   std::unordered_map<std::string, CounterId> ids_ MHB_GUARDED_BY(mu_);
-  // Flushed totals, by id.
+  // Published totals, by id.
   std::vector<std::int64_t> totals_ MHB_GUARDED_BY(mu_);
+  // Staged since the last Flush/EndRound, by id.
+  std::vector<std::int64_t> pending_ MHB_GUARDED_BY(mu_);
   // Totals at the last EndRound.
   std::vector<std::int64_t> round_base_ MHB_GUARDED_BY(mu_);
   std::vector<std::string> hist_names_ MHB_GUARDED_BY(mu_);
   std::unordered_map<std::string, HistogramId> hist_ids_ MHB_GUARDED_BY(mu_);
-  // Flushed, by histogram id.
+  // Published, by histogram id.
   std::vector<HistogramData> hist_totals_ MHB_GUARDED_BY(mu_);
-  // Since the last EndRound.
+  // Staged since the last Flush/EndRound, by histogram id.
+  std::vector<HistogramData> hist_pending_ MHB_GUARDED_BY(mu_);
+  // Published since the last EndRound.
   std::vector<HistogramData> hist_round_ MHB_GUARDED_BY(mu_);
   // Current round's gauges.
   std::map<std::string, double> gauges_ MHB_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Sink>> sinks_ MHB_GUARDED_BY(mu_);
   std::vector<RoundRow> rounds_ MHB_GUARDED_BY(mu_);
-  // Staged rows for the round in flight; drained (or discarded) by every
-  // EndRound, so this never grows past one round's cohort.
+  // Staged rows for the round in flight; folded and drained (or discarded)
+  // by every EndRound, so this never grows past one round's cohort.
   std::vector<ClientRow> client_rows_ MHB_GUARDED_BY(mu_);
   std::function<void(const RoundRow&)> round_sink_ MHB_GUARDED_BY(mu_);
   std::function<void(std::vector<ClientRow>&&)> client_row_sink_

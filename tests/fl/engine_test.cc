@@ -122,9 +122,9 @@ TEST(FlEngineTest, AssignmentCountMismatchThrows) {
   EXPECT_THROW(FlEngine(task, FastConfig(2), assign, *alg), Error);
 }
 
-// Invalid eval settings fail at engine entry with an error naming the
-// field, instead of a mid-run division by zero (eval_every) or a silent
-// full-test-set eval (negative sample caps).
+// Invalid settings fail at engine entry with an error naming the field,
+// instead of a mid-run failure (eval_every, batch_size) or a run that
+// completes with a meaningless result (sample_fraction, sample caps).
 void ExpectConfigRejected(const FlConfig& cfg, const std::string& field) {
   const data::Task task = SmallTask();
   const auto tm = models::MakeTaskModels("cifar10");
@@ -155,6 +155,67 @@ TEST(FlEngineTest, RejectsNegativeStabilityMaxSamples) {
   FlConfig cfg = FastConfig(2);
   cfg.stability_max_samples = -5;
   ExpectConfigRejected(cfg, "stability_max_samples");
+}
+
+TEST(FlEngineTest, RejectsNegativeRounds) {
+  FlConfig cfg = FastConfig(2);
+  cfg.rounds = -1;
+  ExpectConfigRejected(cfg, "rounds");
+}
+
+TEST(FlEngineTest, RejectsSampleFractionOutsideUnitInterval) {
+  for (const double f : {-0.5, 0.0, 1.5}) {
+    FlConfig cfg = FastConfig(2);
+    cfg.sample_fraction = f;
+    ExpectConfigRejected(cfg, "sample_fraction");
+  }
+}
+
+TEST(FlEngineTest, RejectsNegativeMinSampled) {
+  FlConfig cfg = FastConfig(2);
+  cfg.min_sampled = -1;
+  ExpectConfigRejected(cfg, "min_sampled");
+}
+
+TEST(FlEngineTest, RejectsNonPositiveLocalEpochs) {
+  FlConfig cfg = FastConfig(2);
+  cfg.local_epochs = 0;
+  ExpectConfigRejected(cfg, "local_epochs");
+}
+
+TEST(FlEngineTest, RejectsNonPositiveBatchSize) {
+  FlConfig cfg = FastConfig(2);
+  cfg.batch_size = 0;
+  ExpectConfigRejected(cfg, "batch_size");
+}
+
+TEST(FlEngineTest, RejectsNegativeRoundDeadline) {
+  FlConfig cfg = FastConfig(2);
+  cfg.round_deadline_s = -1.0;
+  ExpectConfigRejected(cfg, "round_deadline_s");
+}
+
+TEST(FlEngineTest, RejectsNonPositiveNumThreads) {
+  FlConfig cfg = FastConfig(2);
+  cfg.num_threads = 0;
+  ExpectConfigRejected(cfg, "num_threads");
+}
+
+TEST(FlEngineTest, RejectsNegativeCheckpointEvery) {
+  FlConfig cfg = FastConfig(2);
+  cfg.checkpoint_every = -1;
+  ExpectConfigRejected(cfg, "checkpoint_every");
+}
+
+// rounds == 0 stays legal: a resume configured with it must reach the
+// snapshot's rewind check, which a constructor rejection would mask.
+TEST(FlEngineTest, AcceptsZeroRounds) {
+  const data::Task task = SmallTask();
+  const auto tm = models::MakeTaskModels("cifar10");
+  auto alg = algorithms::MakeAlgorithm("depthfl", tm);
+  FlConfig cfg = FastConfig(2);
+  cfg.rounds = 0;
+  EXPECT_NO_THROW(FlEngine(task, cfg, {}, *alg));
 }
 
 TEST(UniformCapacityTest, CyclesCapacities) {

@@ -1,11 +1,13 @@
 // Observability layer: span collection/nesting, JSON escaping and export,
 // the disabled (null-tracer) zero-cost path, the counter registry's
-// per-thread sinks + round snapshots, and the run-manifest writer.
+// staged adds, client-row fold and round snapshots, and the run-manifest
+// writer.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -160,14 +162,14 @@ TEST(RegistryTest, CountersAccumulateAndSnapshotPerRound) {
   EXPECT_EQ(rounds[1].gauges.count("acc"), 0u);
 }
 
-TEST(RegistryTest, PerThreadSinksMergeToOrderIndependentTotals) {
+TEST(RegistryTest, ConcurrentAddsGiveOrderIndependentTotals) {
   Registry reg;
   const auto c = reg.Counter("c");
   core::ThreadPool pool(4);
   core::ParallelFor(&pool, 1000, [&](std::size_t i) {
     reg.Add(c, static_cast<std::int64_t>(i));
   });
-  reg.FlushThreadSinks();
+  reg.Flush();
   EXPECT_EQ(reg.Total("c"), 999 * 1000 / 2);
 }
 
@@ -176,8 +178,130 @@ TEST(RegistryTest, CounterRegistrationIsIdempotent) {
   EXPECT_EQ(reg.Counter("x"), reg.Counter("x"));
   reg.AddNamed("x", 2);
   reg.AddNamed("x", 3);
-  reg.FlushThreadSinks();
+  reg.Flush();
   EXPECT_EQ(reg.Total("x"), 5);
+}
+
+TEST(RegistryTest, TierKeyRoundTrips) {
+  EXPECT_EQ(TierKey("bytes_up", "mem4g"), "bytes_up@mem4g");
+  const TierKeyParts tiered = SplitTierKey("bytes_up@mem4g");
+  EXPECT_EQ(tiered.base, "bytes_up");
+  EXPECT_EQ(tiered.tier, "mem4g");
+  const TierKeyParts untiered = SplitTierKey("bytes_up");
+  EXPECT_EQ(untiered.base, "bytes_up");
+  EXPECT_EQ(untiered.tier, "");
+}
+
+// One trained, one offline and one straggler client across two tiers:
+// EndRound must derive every client-scoped counter and histogram, untiered
+// and per tier, from the staged rows alone, put the same deltas in the
+// round row, and register nothing when no rows are staged.
+TEST(RegistryTest, EndRoundFoldsStagedClientRowsPerTier) {
+  Registry reg;
+  reg.EndRound("alg", 0);
+  EXPECT_TRUE(reg.Totals().empty());
+  EXPECT_TRUE(reg.Histograms().empty());
+
+  Registry::ClientRow trained;
+  trained.client = 3;
+  trained.device_tier = "mem4g";
+  trained.wall_ms = 2.5;
+  trained.bytes_up = 1000;
+  trained.bytes_down = 1200;
+  trained.train_mflops = 70;
+  Registry::ClientRow offline;
+  offline.client = 5;
+  offline.device_tier = "cpu";
+  offline.drop_reason = "offline";
+  Registry::ClientRow straggler;
+  straggler.client = 7;
+  straggler.device_tier = "mem4g";
+  straggler.drop_reason = "straggler";
+  for (const auto& row : {trained, offline, straggler}) {
+    Registry::ClientRow staged = row;
+    staged.run = "alg";
+    staged.round = 1;
+    reg.AddClientRow(staged);
+  }
+  reg.EndRound("alg", 1);
+
+  const std::map<std::string, std::int64_t> want_counters = {
+      {"clients_selected", 3},       {"clients_offline", 1},
+      {"clients_dropped", 1},        {"clients_trained", 1},
+      {"bytes_up", 1000},            {"bytes_down", 1200},
+      {"train_mflops", 70},          {"clients_selected@mem4g", 2},
+      {"clients_offline@mem4g", 0},  {"clients_dropped@mem4g", 1},
+      {"clients_trained@mem4g", 1},  {"bytes_up@mem4g", 1000},
+      {"bytes_down@mem4g", 1200},    {"train_mflops@mem4g", 70},
+      {"clients_selected@cpu", 1},   {"clients_offline@cpu", 1},
+      {"clients_dropped@cpu", 0},    {"clients_trained@cpu", 0},
+      {"bytes_up@cpu", 0},           {"bytes_down@cpu", 0},
+      {"train_mflops@cpu", 0}};
+  EXPECT_EQ(reg.Totals(), want_counters);
+
+  // Only the trained client is observed; the cpu tier's histograms exist
+  // but stay empty.
+  const std::map<std::string, std::int64_t> want_observed = {
+      {"client_wall_us", 2500},
+      {"client_bytes_up", 1000},
+      {"client_train_mflops", 70}};
+  const auto hists = reg.Histograms();
+  EXPECT_EQ(hists.size(), 3u * want_observed.size());
+  for (const auto& [base, value] : want_observed) {
+    for (const std::string& name : {base, TierKey(base, "mem4g")}) {
+      ASSERT_EQ(hists.count(name), 1u) << name;
+      const Registry::HistogramData& h = hists.at(name);
+      EXPECT_EQ(h.count(), 1) << name;
+      EXPECT_EQ(h.sum, value) << name;
+      EXPECT_EQ(h.min, value) << name;
+      EXPECT_EQ(h.max, value) << name;
+    }
+    ASSERT_EQ(hists.count(TierKey(base, "cpu")), 1u) << base;
+    EXPECT_TRUE(hists.at(TierKey(base, "cpu")).empty()) << base;
+  }
+
+  // The round row carries the same (non-zero) deltas.
+  ASSERT_EQ(reg.rounds().size(), 2u);
+  const Registry::RoundRow& row = reg.rounds()[1];
+  std::map<std::string, std::int64_t> want_row;
+  for (const auto& [name, value] : want_counters) {
+    if (value != 0) want_row[name] = value;
+  }
+  EXPECT_EQ(row.counters, want_row);
+  EXPECT_EQ(row.hists.size(), 2u * want_observed.size());
+  for (const auto& [name, h] : row.hists) {
+    EXPECT_EQ(h.buckets, hists.at(name).buckets) << name;
+    EXPECT_EQ(h.sum, hists.at(name).sum) << name;
+  }
+
+  // A barrier with nothing staged adds no name and an empty row.
+  reg.EndRound("alg", 2);
+  EXPECT_EQ(reg.Totals(), want_counters);
+  EXPECT_EQ(reg.Histograms().size(), hists.size());
+  ASSERT_EQ(reg.rounds().size(), 3u);
+  EXPECT_TRUE(reg.rounds()[2].counters.empty());
+  EXPECT_TRUE(reg.rounds()[2].hists.empty());
+}
+
+// Pre-registering the fleet's tiers lists every client-scoped name at zero
+// before any row is staged; folding a row of a registered tier then adds
+// no name.
+TEST(RegistryTest, RegisterClientTiersFixesTheNameSet) {
+  Registry reg;
+  reg.RegisterClientTiers({"cpu", "untiered"});
+  const auto totals = reg.Totals();
+  EXPECT_EQ(totals.size(), 3u * 7u);
+  for (const auto& [name, value] : totals) EXPECT_EQ(value, 0) << name;
+  EXPECT_EQ(reg.Histograms().size(), 3u * 3u);
+
+  Registry::ClientRow row;
+  row.device_tier = "cpu";
+  row.bytes_up = 5;
+  reg.AddClientRow(row);
+  reg.EndRound("alg", 0);
+  EXPECT_EQ(reg.Totals().size(), totals.size());
+  EXPECT_EQ(reg.Total("bytes_up@cpu"), 5);
+  EXPECT_EQ(reg.Total("clients_trained@untiered"), 0);
 }
 
 TEST(ManifestTest, SanitizeRunId) {

@@ -27,7 +27,7 @@ Typical bisection loop: reproduce a divergence with `run`, note the round
 R and component; re-run with MHB_DET_AUDIT_INJECT unset and a breakpoint
 or extra logging scoped to round R's phase for that component (rng =>
 a draw leaked into the parallel phase; model => merge order; counters /
-hists => a metric bypassed the per-thread sinks).
+hists => a counted value depends on thread scheduling).
 """
 
 import argparse
