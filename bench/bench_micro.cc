@@ -109,39 +109,57 @@ void BM_MatmulInt8(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulInt8)->Arg(256);
 
-// Conv workload: N=8, Cin=8, Cout=16, 8x8 spatial, 3x3 stride-1 pad-1
-// (output spatial = input).  Forward MACs = N*Cout*H*W*Cin*3*3; FLOPs =
-// 2x that.  Items-processed carries the FLOP count so bench_report.py
-// reports real GFLOP/s for the conv entries too.
-constexpr long long kConvForwardFlops = 2LL * 8 * 16 * 8 * 8 * 8 * 3 * 3;
+// Conv workloads.  The 3x3 case: N=8, Cin=8, Cout=16, 8x8 spatial,
+// stride-1 pad-1 (output spatial = input).  The 1x1 case: N=16, Cin=8,
+// Cout=16, 8x8 — the pointwise expand/project shape class that dominates
+// conv time in a computation-limited CIFAR-10 MobileNet fleet.  Forward
+// MACs = N*Cout*H*W*Cin*K*K; FLOPs = 2x that.  Items-processed carries the
+// FLOP count so bench_report.py reports real GFLOP/s for the conv entries
+// too.
+struct ConvCase {
+  int n, in_c, out_c, kernel, pad, hw;
 
-void Conv2dForwardBody(benchmark::State& state, kernels::Backend backend) {
+  long long ForwardFlops() const {
+    return 2LL * n * out_c * hw * hw * in_c * kernel * kernel;
+  }
+};
+constexpr ConvCase kConv3x3{8, 8, 16, 3, 1, 8};
+constexpr ConvCase kConv1x1{16, 8, 16, 1, 0, 8};
+
+void Conv2dForwardBody(benchmark::State& state, const ConvCase& cc,
+                       kernels::Backend backend) {
   BackendGuard guard(backend);
   Rng rng(2);
-  nn::Conv2d conv(8, 16, 3, 1, 1, rng);
-  const Tensor x = Tensor::Randn({8, 8, 8, 8}, rng);
+  nn::Conv2d conv(cc.in_c, cc.out_c, cc.kernel, 1, cc.pad, rng);
+  const Tensor x = Tensor::Randn({cc.n, cc.in_c, cc.hw, cc.hw}, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(conv.Forward(x, true));
     kernels::ResetThreadScratch();
   }
-  state.SetItemsProcessed(state.iterations() * kConvForwardFlops);
+  state.SetItemsProcessed(state.iterations() * cc.ForwardFlops());
 }
 
 void BM_Conv2dForward(benchmark::State& state) {
-  Conv2dForwardBody(state, kernels::Backend::kFast);
+  Conv2dForwardBody(state, kConv3x3, kernels::Backend::kFast);
 }
 BENCHMARK(BM_Conv2dForward);
 
 void BM_Conv2dForwardNaive(benchmark::State& state) {
-  Conv2dForwardBody(state, kernels::Backend::kNaive);
+  Conv2dForwardBody(state, kConv3x3, kernels::Backend::kNaive);
 }
 BENCHMARK(BM_Conv2dForwardNaive);
 
-void Conv2dBackwardBody(benchmark::State& state, kernels::Backend backend) {
+void BM_Conv2d1x1Forward(benchmark::State& state) {
+  Conv2dForwardBody(state, kConv1x1, kernels::Backend::kFast);
+}
+BENCHMARK(BM_Conv2d1x1Forward);
+
+void Conv2dBackwardBody(benchmark::State& state, const ConvCase& cc,
+                        kernels::Backend backend) {
   BackendGuard guard(backend);
   Rng rng(3);
-  nn::Conv2d conv(8, 16, 3, 1, 1, rng);
-  const Tensor x = Tensor::Randn({8, 8, 8, 8}, rng);
+  nn::Conv2d conv(cc.in_c, cc.out_c, cc.kernel, 1, cc.pad, rng);
+  const Tensor x = Tensor::Randn({cc.n, cc.in_c, cc.hw, cc.hw}, rng);
   const Tensor y = conv.Forward(x, true);
   const Tensor g = Tensor::Randn(y.shape(), rng);
   for (auto _ : state) {
@@ -150,18 +168,23 @@ void Conv2dBackwardBody(benchmark::State& state, kernels::Backend backend) {
     kernels::ResetThreadScratch();
   }
   // Backward runs two GEMMs of the forward's shape (dW and dX).
-  state.SetItemsProcessed(state.iterations() * 2 * kConvForwardFlops);
+  state.SetItemsProcessed(state.iterations() * 2 * cc.ForwardFlops());
 }
 
 void BM_Conv2dBackward(benchmark::State& state) {
-  Conv2dBackwardBody(state, kernels::Backend::kFast);
+  Conv2dBackwardBody(state, kConv3x3, kernels::Backend::kFast);
 }
 BENCHMARK(BM_Conv2dBackward);
 
 void BM_Conv2dBackwardNaive(benchmark::State& state) {
-  Conv2dBackwardBody(state, kernels::Backend::kNaive);
+  Conv2dBackwardBody(state, kConv3x3, kernels::Backend::kNaive);
 }
 BENCHMARK(BM_Conv2dBackwardNaive);
+
+void BM_Conv2d1x1Backward(benchmark::State& state) {
+  Conv2dBackwardBody(state, kConv1x1, kernels::Backend::kFast);
+}
+BENCHMARK(BM_Conv2d1x1Backward);
 
 void BM_GatherSubmodel(benchmark::State& state) {
   Rng rng(4);

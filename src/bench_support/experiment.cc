@@ -103,20 +103,63 @@ constraints::BuiltAssignments BuildAssignments(
   throw Error("unknown constraint case: " + c);
 }
 
+int Repeats() { return std::max(1, EnvInt("MHB_REPEATS", 1)); }
+
+bool Checkpointing(const SuiteOptions& options) {
+  return options.checkpoint_every > 0 || !options.resume_path.empty();
+}
+
+void Reject(const std::string& field, const std::string& rule,
+            const std::string& got) {
+  throw Error("SuiteOptions." + field + " must be " + rule + ", got " + got);
+}
+
+kernels::EvalPrecision ParsedEvalPrecision(const BenchPreset& preset) {
+  kernels::EvalPrecision ep = kernels::EvalPrecision::kF32;
+  if (!kernels::ParseEvalPrecision(preset.eval_precision.c_str(), &ep)) {
+    Reject("preset.eval_precision", "f32|bf16|int8",
+           "'" + preset.eval_precision + "'");
+  }
+  return ep;
+}
+
+// Rejects options no run can honor, at RunOne/RunSuite entry: otherwise the
+// fedavg-small baseline trains in full before the requested run fails, or
+// a bad value silently runs something else (a negative alpha runs IID).
+void ValidateOptions(const SuiteOptions& options) {
+  const int repeats = Repeats();
+  if (repeats > 1 && options.obs.det_audit != nullptr) {
+    Reject("obs.det_audit", "unset when MHB_REPEATS > 1 (the ledger chains "
+           "one engine run's round barriers)",
+           "MHB_REPEATS=" + std::to_string(repeats));
+  }
+  if (repeats > 1 && Checkpointing(options)) {
+    Reject("checkpoint_every/resume_path",
+           "unset when MHB_REPEATS > 1 (a snapshot names one engine run)",
+           "MHB_REPEATS=" + std::to_string(repeats));
+  }
+  if (!(options.dirichlet_alpha >= 0.0)) {
+    Reject("dirichlet_alpha", ">= 0 (0 keeps IID)",
+           std::to_string(options.dirichlet_alpha));
+  }
+  if (!(options.target_fraction > 0.0 && options.target_fraction <= 1.0)) {
+    Reject("target_fraction", "in (0, 1]",
+           std::to_string(options.target_fraction));
+  }
+  if (options.checkpoint_every < 0) {
+    Reject("checkpoint_every", ">= 0",
+           std::to_string(options.checkpoint_every));
+  }
+  ParsedEvalPrecision(options.preset);
+}
+
 metrics::MetricBundle RunWith(const std::string& algorithm,
                               const SuiteOptions& options,
                               const std::vector<double>& ladder,
                               double fedavg_ratio, bool allow_checkpoint) {
   const BenchPreset& p = options.preset;
-  const int repeats = std::max(1, EnvInt("MHB_REPEATS", 1));
-  const bool checkpointing =
-      allow_checkpoint &&
-      (options.checkpoint_every > 0 || !options.resume_path.empty());
-  if (checkpointing) {
-    MHB_CHECK_EQ(repeats, 1)
-        << "checkpoint/resume requires MHB_REPEATS=1 (a snapshot names one "
-           "engine run)";
-  }
+  const int repeats = Repeats();
+  const bool checkpointing = allow_checkpoint && Checkpointing(options);
 
   metrics::MetricBundle bundle;
   bundle.algorithm = algorithm;
@@ -154,11 +197,7 @@ metrics::MetricBundle RunWith(const std::string& algorithm,
     fcfg2.seed = p.seed + static_cast<std::uint64_t>(rep) * 17;
     fcfg2.num_threads = p.threads;
     fcfg2.threaded_gemm = p.threaded_gemm != 0;
-    kernels::EvalPrecision ep = kernels::EvalPrecision::kF32;
-    MHB_CHECK(kernels::ParseEvalPrecision(p.eval_precision.c_str(), &ep))
-        << "unknown eval precision:" << p.eval_precision
-        << "(want f32|bf16|int8)";
-    fcfg2.eval_precision = ep;
+    fcfg2.eval_precision = ParsedEvalPrecision(p);
     if (options.dirichlet_alpha > 0) {
       fcfg2.partition = fl::PartitionKind::kDirichlet;
       fcfg2.dirichlet_alpha = options.dirichlet_alpha;
@@ -170,11 +209,6 @@ metrics::MetricBundle RunWith(const std::string& algorithm,
       // run's algorithm/seed/rounds); the hidden FedAvg reference run must
       // not interleave rows into it.
       fcfg2.obs.det_audit = nullptr;
-    }
-    if (fcfg2.obs.det_audit != nullptr) {
-      MHB_CHECK_EQ(repeats, 1)
-          << "--det-audit requires MHB_REPEATS=1 (the ledger chains one "
-             "engine run's round barriers)";
     }
     if (checkpointing) {
       fcfg2.checkpoint_every = options.checkpoint_every;
@@ -210,6 +244,7 @@ metrics::MetricBundle RunWith(const std::string& algorithm,
 
 metrics::MetricBundle RunOne(const std::string& algorithm,
                              const SuiteOptions& options) {
+  ValidateOptions(options);
   return RunWith(algorithm, options, algorithms::RatioLadder(),
                  /*fedavg_ratio=*/1.0, /*allow_checkpoint=*/true);
 }
@@ -217,6 +252,7 @@ metrics::MetricBundle RunOne(const std::string& algorithm,
 std::vector<metrics::MetricBundle> RunSuite(
     const std::vector<std::string>& algorithms_list,
     const SuiteOptions& options) {
+  ValidateOptions(options);
   // Effectiveness baseline: the smallest model any device would be given
   // under this constraint, trained homogeneously everywhere (FedAvg).
   const double min_ratio = [&] {

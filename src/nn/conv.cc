@@ -1,6 +1,7 @@
 #include "nn/conv.h"
 
 #include <cstddef>
+#include <cstring>
 
 #include "nn/init.h"
 #include "obs/profile.h"
@@ -9,45 +10,6 @@
 #include "tensor/scratch.h"
 
 namespace mhbench::nn {
-namespace {
-
-// [N*OH*OW, out_c] rows ordered (n, oy, ox) -> [N, out_c, OH, OW].
-void RowsToNCHWInto(const Scalar* rows, int n, int oc, int oh, int ow,
-                    Scalar* out) {
-  std::size_t row = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int y = 0; y < oh; ++y) {
-      for (int x = 0; x < ow; ++x, ++row) {
-        const Scalar* irow = rows + row * static_cast<std::size_t>(oc);
-        for (int c = 0; c < oc; ++c) {
-          out[((static_cast<std::size_t>(b) * oc + c) * oh + y) * ow + x] =
-              irow[c];
-        }
-      }
-    }
-  }
-}
-
-// Inverse of RowsToNCHWInto.
-void NCHWToRowsInto(const Tensor& t, Scalar* rows) {
-  const int n = t.dim(0), c = t.dim(1), h = t.dim(2), w = t.dim(3);
-  const Scalar* in = t.data().data();
-  std::size_t row = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int y = 0; y < h; ++y) {
-      for (int x = 0; x < w; ++x, ++row) {
-        Scalar* orow = rows + row * static_cast<std::size_t>(c);
-        for (int ch = 0; ch < c; ++ch) {
-          orow[ch] =
-              in[((static_cast<std::size_t>(b) * c + ch) * h + y) * w + x];
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
 Conv2d::Conv2d(int in_channels, int out_channels, int kernel, int stride,
                int pad, Rng& rng, bool bias)
     : stride_(stride), pad_h_(pad), pad_w_(pad) {
@@ -82,28 +44,40 @@ Tensor Conv2d::Forward(const Tensor& x, bool /*train*/) {
   cached_input_shape_ = x.shape();
   const int n = x.dim(0);
   const int oc = out_channels();
-  const int ickk = in_channels() * kernel_h() * kernel_w();
   const int oh = (x.dim(2) + 2 * pad_h_ - kernel_h()) / stride_ + 1;
   const int ow = (x.dim(3) + 2 * pad_w_ - kernel_w()) / stride_ + 1;
-  const int rows_n = n * oh * ow;
 
   // The column matrix lives in a member tensor so repeated steps with the
   // same geometry reuse the buffer; Backward reads it back.
-  const int cols_shape[2] = {rows_n, ickk};
-  cached_cols_.ResizeUninitialized(cols_shape);
-  ops::Im2ColInto(x, kernel_h(), kernel_w(), stride_, pad_h_, pad_w_,
-                  cached_cols_.data().data());
+  ops::Im2ColT(x, kernel_h(), kernel_w(), stride_, pad_h_, pad_w_,
+               cached_cols_);
+  const int ickk = cached_cols_.dim(0);
+  const int cols = cached_cols_.dim(1);
 
-  // rows[N*OH*OW, out_c] = cols · W^T + bias, staged in the scratch arena;
-  // the weight tensor [oc, ic, kh, kw] is read as a flat [oc, ickk] matrix.
+  // outᵀ[out_c, N*OH*OW] = W · colsᵀ, staged in the scratch arena; the
+  // weight tensor [oc, ic, kh, kw] is read as a flat [oc, ickk] matrix.
   kernels::ScratchScope scratch;
-  float* rows = scratch.Alloc(static_cast<std::size_t>(rows_n) * oc);
-  kernels::Gemm(false, true, rows_n, oc, ickk, cached_cols_.data().data(),
-                ickk, weight_.value.data().data(), ickk, 0.0f, rows, oc,
-                has_bias() ? bias_.value.data().data() : nullptr);
+  float* out_t = scratch.Alloc(static_cast<std::size_t>(oc) * cols);
+  kernels::Gemm(false, false, oc, cols, ickk, weight_.value.data().data(),
+                ickk, cached_cols_.data().data(), cols, 0.0f, out_t, cols);
 
+  // Each outᵀ row holds one channel's OH*OW planes image after image; the
+  // bias goes on after the whole contraction, as the fused GEMM epilogue
+  // would add it.
   Tensor out = Tensor::Uninitialized({n, oc, oh, ow});
-  RowsToNCHWInto(rows, n, oc, oh, ow, out.data().data());
+  const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
+  const Scalar* bias = has_bias() ? bias_.value.data().data() : nullptr;
+  Scalar* dst = out.data().data();
+  for (int b = 0; b < n; ++b) {
+    for (int o = 0; o < oc; ++o, dst += ohw) {
+      const Scalar* src = out_t + o * static_cast<std::size_t>(cols) + b * ohw;
+      if (bias == nullptr) {
+        std::memcpy(dst, src, ohw * sizeof(Scalar));
+      } else {
+        for (std::size_t i = 0; i < ohw; ++i) dst[i] = src[i] + bias[o];
+      }
+    }
+  }
   return out;
 }
 
@@ -111,31 +85,48 @@ Tensor Conv2d::Backward(const Tensor& grad_out) {
   obs::ProfileScope profile_scope("conv2d_bwd");
   MHB_CHECK(!cached_cols_.empty()) << "Backward before Forward";
   MHB_CHECK_EQ(grad_out.ndim(), 4);
+  MHB_CHECK_EQ(grad_out.dim(0), cached_input_shape_[0]);
   MHB_CHECK_EQ(grad_out.dim(1), out_channels());
+  const int n = grad_out.dim(0);
   const int oc = out_channels();
-  const int ickk = in_channels() * kernel_h() * kernel_w();
-  const int rows_n = cached_cols_.dim(0);
+  const int ickk = cached_cols_.dim(0);
+  const int cols = cached_cols_.dim(1);
+  const std::size_t ohw = static_cast<std::size_t>(grad_out.dim(2)) *
+                          grad_out.dim(3);
+  MHB_CHECK_EQ(static_cast<std::size_t>(n) * ohw,
+               static_cast<std::size_t>(cols));
 
+  // gᵀ[out_c, N*OH*OW]: grad_out's channel planes laid end to end per
+  // channel.  The bias gradient sums each channel in (n, oy, ox) order.
   kernels::ScratchScope scratch;
-  float* grows = scratch.Alloc(static_cast<std::size_t>(rows_n) * oc);
-  NCHWToRowsInto(grad_out, grows);  // [N*OH*OW, out_c]
-
-  // dW += G^T · cols, accumulated straight into the flat [oc, ickk] view of
-  // the weight gradient (beta = 1).
-  kernels::Gemm(true, false, oc, ickk, rows_n, grows, oc,
-                cached_cols_.data().data(), ickk, 1.0f,
-                weight_.grad.data().data(), ickk);
-  if (has_bias()) {
-    kernels::ColSumAcc(grows, rows_n, oc, oc, bias_.grad.data().data());
+  float* g_t = scratch.Alloc(static_cast<std::size_t>(oc) * cols);
+  Scalar* db = has_bias() ? bias_.grad.data().data() : nullptr;
+  const Scalar* src = grad_out.data().data();
+  for (int b = 0; b < n; ++b) {
+    for (int o = 0; o < oc; ++o, src += ohw) {
+      std::memcpy(g_t + o * static_cast<std::size_t>(cols) + b * ohw, src,
+                  ohw * sizeof(Scalar));
+      if (db != nullptr) {
+        Scalar sum = db[o];
+        for (std::size_t i = 0; i < ohw; ++i) sum += src[i];
+        db[o] = sum;
+      }
+    }
   }
 
-  // dcols = G · W, then scatter back to the input shape.
-  float* dcols = scratch.Alloc(static_cast<std::size_t>(rows_n) * ickk);
-  kernels::Gemm(false, false, rows_n, ickk, oc, grows, oc,
-                weight_.value.data().data(), ickk, 0.0f, dcols, ickk);
+  // dW += gᵀ · cols, accumulated straight into the flat [oc, ickk] view of
+  // the weight gradient (beta = 1).
+  kernels::Gemm(false, true, oc, ickk, cols, g_t, cols,
+                cached_cols_.data().data(), cols, 1.0f,
+                weight_.grad.data().data(), ickk);
+
+  // dcolsᵀ = Wᵀ · gᵀ, then scatter back to the input shape.
+  float* dcols_t = scratch.Alloc(static_cast<std::size_t>(ickk) * cols);
+  kernels::Gemm(true, false, ickk, cols, oc, weight_.value.data().data(),
+                ickk, g_t, cols, 0.0f, dcols_t, cols);
   Tensor dx(cached_input_shape_);
-  ops::Col2ImAcc(dcols, cached_input_shape_, kernel_h(), kernel_w(), stride_,
-                 pad_h_, pad_w_, dx.data().data());
+  ops::Col2ImTAcc(dcols_t, cached_input_shape_, kernel_h(), kernel_w(),
+                  stride_, pad_h_, pad_w_, dx.data().data());
   return dx;
 }
 

@@ -1,4 +1,4 @@
-// Convolution layers (im2col based).
+// Convolution layers (channel-major im2col + GEMM).
 //
 // Conv2d operates on [N, C, H, W]; Conv1d on [N, C, L] (implemented as a
 // height-1 Conv2d).  Weight layout is [out_c, in_c, kh, kw] so sub-model
@@ -42,7 +42,7 @@ class Conv2d : public Module {
   int stride_ = 1;
   int pad_h_ = 0;
   int pad_w_ = 0;
-  Tensor cached_cols_;      // im2col of last input
+  Tensor cached_cols_;      // colsᵀ [ic*kh*kw, N*OH*OW] of the last input
   Shape cached_input_shape_;
 };
 

@@ -172,12 +172,17 @@ void PackB(bool trans, const float* b, int ldb, int pc, int jc, int kc,
   for (int j0 = 0; j0 < nc; j0 += kNR) {
     const int nr = std::min(kNR, nc - j0);
     if (!trans) {
-      // op(B)(p, j) = b[p*ldb + j]: each panel row is a contiguous copy.
+      // op(B)(p, j) = b[p*ldb + j]: each panel row is a contiguous copy,
+      // of constant (inlined) size in every full panel.
       for (int p = 0; p < kc; ++p) {
         const float* src =
             b + static_cast<std::size_t>(pc + p) * ldb + jc + j0;
-        std::memcpy(bp, src, static_cast<std::size_t>(nr) * sizeof(float));
-        for (int q = nr; q < kNR; ++q) bp[q] = 0.0f;
+        if (nr == kNR) {
+          std::memcpy(bp, src, sizeof(float) * kNR);
+        } else {
+          std::memcpy(bp, src, static_cast<std::size_t>(nr) * sizeof(float));
+          for (int q = nr; q < kNR; ++q) bp[q] = 0.0f;
+        }
         bp += kNR;
       }
     } else {

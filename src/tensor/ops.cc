@@ -94,6 +94,91 @@ Shape SelectedShape(const Shape& full_shape, const DimIndices& index) {
   return out;
 }
 
+// Output extent of one convolution axis.
+int ConvOut(int in, int k, int stride, int pad) {
+  return (in + 2 * pad - k) / stride + 1;
+}
+
+// The output positions [lo, hi) along one axis whose kernel tap at offset
+// `k` reads input index o*stride + k - pad inside [0, in); the others read
+// padding.
+struct TapSpan {
+  int lo;
+  int hi;
+};
+TapSpan SpanOf(int in, int out, int k, int stride, int pad) {
+  const int first = pad - k;    // o*stride >= first
+  const int end = in + pad - k;  // o*stride < end
+  const int lo = first <= 0 ? 0 : (first + stride - 1) / stride;
+  const int hi = end <= 0 ? 0 : std::min(out, (end + stride - 1) / stride);
+  return {std::min(lo, hi), hi};
+}
+
+void AddRun(float* __restrict dst, const float* __restrict src,
+            std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
+}
+
+// One image's OH x OW block of the colsᵀ row for the tap at input offset
+// (dy, dx) = (ky - pad_h, kx - pad_w): dst[oy*ow + ox] reads the input
+// plane `src` at (oy*stride + dy, ox*stride + dx), zero in the padding.
+void Im2ColTapPlane(const Scalar* src, int w, int oh, int ow, int stride,
+                    TapSpan ys, TapSpan xs, int dy, int dx, Scalar* dst) {
+  const auto o = static_cast<std::size_t>(ow);
+  if (ys.lo == ys.hi || xs.lo == xs.hi) {
+    std::fill(dst, dst + oh * o, 0.0f);
+    return;
+  }
+  std::fill(dst, dst + ys.lo * o, 0.0f);
+  std::fill(dst + ys.hi * o, dst + oh * o, 0.0f);
+  if (stride == 1 && ow == w) {
+    // Block and plane rows share a stride, so the valid rows are one
+    // contiguous copy; it overruns into the padding columns, which are
+    // zeroed below.
+    const std::size_t start = ys.lo * o + xs.lo;
+    const std::size_t end = (ys.hi - 1) * o + xs.hi;
+    std::memcpy(dst + start,
+                src + (static_cast<std::ptrdiff_t>(start) + dy * w + dx),
+                (end - start) * sizeof(Scalar));
+  } else {
+    for (int oy = ys.lo; oy < ys.hi; ++oy) {
+      Scalar* d = dst + oy * o;
+      const Scalar* line =
+          src + static_cast<std::size_t>(oy * stride + dy) * w;
+      for (int ox = xs.lo; ox < xs.hi; ++ox) d[ox] = line[ox * stride + dx];
+    }
+  }
+  for (int oy = ys.lo; oy < ys.hi; ++oy) {
+    Scalar* d = dst + oy * o;
+    std::fill(d, d + xs.lo, 0.0f);
+    std::fill(d + xs.hi, d + ow, 0.0f);
+  }
+}
+
+// Adjoint of Im2ColTapPlane: adds the block `src` back into the input
+// plane `dst`, one contribution per element.
+void Col2ImTapPlane(const Scalar* src, int w, int ow, int stride, TapSpan ys,
+                    TapSpan xs, int dy, int dx, Scalar* dst) {
+  if (ys.lo == ys.hi || xs.lo == xs.hi) return;
+  const auto o = static_cast<std::size_t>(ow);
+  if (stride == 1 && ow == w && xs.lo == 0 && xs.hi == ow) {
+    // A full-width tap (dx == 0): the valid rows are one contiguous run.
+    AddRun(dst + static_cast<std::size_t>(ys.lo + dy) * w, src + ys.lo * o,
+           (ys.hi - ys.lo) * o);
+    return;
+  }
+  for (int oy = ys.lo; oy < ys.hi; ++oy) {
+    Scalar* line = dst + static_cast<std::size_t>(oy * stride + dy) * w;
+    const Scalar* s = src + oy * o;
+    if (stride == 1) {
+      AddRun(line + (xs.lo + dx), s + xs.lo,
+             static_cast<std::size_t>(xs.hi - xs.lo));
+    } else {
+      for (int ox = xs.lo; ox < xs.hi; ++ox) line[ox * stride + dx] += s[ox];
+    }
+  }
+}
+
 }  // namespace
 
 Tensor Matmul(const Tensor& a, const Tensor& b) {
@@ -196,121 +281,66 @@ std::vector<int> ArgmaxRows(const Tensor& t) {
   return out;
 }
 
-void Im2ColInto(const Tensor& input, int kh, int kw, int stride, int pad_h,
-                int pad_w, float* out) {
+void Im2ColT(const Tensor& input, int kh, int kw, int stride, int pad_h,
+             int pad_w, Tensor& cols_t) {
   MHB_CHECK_EQ(input.ndim(), 4);
   MHB_CHECK_GT(stride, 0);
   MHB_CHECK_GE(pad_h, 0);
   MHB_CHECK_GE(pad_w, 0);
   const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
             w = input.dim(3);
-  const int oh = (h + 2 * pad_h - kh) / stride + 1;
-  const int ow = (w + 2 * pad_w - kw) / stride + 1;
+  const int oh = ConvOut(h, kh, stride, pad_h);
+  const int ow = ConvOut(w, kw, stride, pad_w);
   MHB_CHECK_GT(oh, 0);
   MHB_CHECK_GT(ow, 0);
+  const int shape[2] = {c * kh * kw, n * oh * ow};
+  cols_t.ResizeUninitialized(shape);
   const Scalar* in = input.data().data();
-  const std::size_t in_cs = static_cast<std::size_t>(h) * w;
-  const std::size_t in_ns = static_cast<std::size_t>(c) * in_cs;
-  std::size_t row = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox, ++row) {
-        Scalar* orow = out + row * static_cast<std::size_t>(c) * kh * kw;
-        std::size_t col = 0;
-        for (int ch = 0; ch < c; ++ch) {
-          const Scalar* plane = in + static_cast<std::size_t>(b) * in_ns +
-                                static_cast<std::size_t>(ch) * in_cs;
-          for (int ky = 0; ky < kh; ++ky) {
-            const int iy = oy * stride + ky - pad_h;
-            if (iy < 0 || iy >= h) {
-              for (int kx = 0; kx < kw; ++kx, ++col) orow[col] = 0.0f;
-              continue;
-            }
-            const Scalar* line = plane + static_cast<std::size_t>(iy) * w;
-            const int ix0 = ox * stride - pad_w;
-            if (ix0 >= 0 && ix0 + kw <= w) {
-              // Fully interior: one contiguous copy per kernel row.
-              std::memcpy(orow + col, line + ix0,
-                          static_cast<std::size_t>(kw) * sizeof(Scalar));
-              col += static_cast<std::size_t>(kw);
-              continue;
-            }
-            for (int kx = 0; kx < kw; ++kx, ++col) {
-              const int ix = ix0 + kx;
-              orow[col] = (ix >= 0 && ix < w) ? line[ix] : 0.0f;
-            }
-          }
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
+  Scalar* dst = cols_t.data().data();
+  for (int ch = 0; ch < c; ++ch) {
+    for (int ky = 0; ky < kh; ++ky) {
+      const TapSpan ys = SpanOf(h, oh, ky, stride, pad_h);
+      for (int kx = 0; kx < kw; ++kx) {
+        const TapSpan xs = SpanOf(w, ow, kx, stride, pad_w);
+        for (int b = 0; b < n; ++b, dst += ohw) {
+          Im2ColTapPlane(in + (static_cast<std::size_t>(b) * c + ch) * plane,
+                         w, oh, ow, stride, ys, xs, ky - pad_h, kx - pad_w,
+                         dst);
         }
       }
     }
   }
 }
 
-Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad_h,
-              int pad_w) {
-  MHB_CHECK_EQ(input.ndim(), 4);
-  const int n = input.dim(0), c = input.dim(1), h = input.dim(2),
-            w = input.dim(3);
-  const int oh = (h + 2 * pad_h - kh) / stride + 1;
-  const int ow = (w + 2 * pad_w - kw) / stride + 1;
-  MHB_CHECK_GT(oh, 0);
-  MHB_CHECK_GT(ow, 0);
-  Tensor cols = Tensor::Uninitialized({n * oh * ow, c * kh * kw});
-  Im2ColInto(input, kh, kw, stride, pad_h, pad_w, cols.data().data());
-  return cols;
-}
-
-void Col2ImAcc(const float* cols, const Shape& input_shape, int kh, int kw,
-               int stride, int pad_h, int pad_w, float* out) {
+void Col2ImTAcc(const float* cols_t, const Shape& input_shape, int kh,
+                int kw, int stride, int pad_h, int pad_w, float* out) {
   MHB_CHECK_EQ(static_cast<int>(input_shape.size()), 4);
   const int n = input_shape[0], c = input_shape[1], h = input_shape[2],
             w = input_shape[3];
-  const int oh = (h + 2 * pad_h - kh) / stride + 1;
-  const int ow = (w + 2 * pad_w - kw) / stride + 1;
-  const std::size_t out_cs = static_cast<std::size_t>(h) * w;
-  const std::size_t out_ns = static_cast<std::size_t>(c) * out_cs;
-  std::size_t row = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int oy = 0; oy < oh; ++oy) {
-      for (int ox = 0; ox < ow; ++ox, ++row) {
-        const Scalar* irow = cols + row * static_cast<std::size_t>(c) * kh * kw;
-        std::size_t col = 0;
-        for (int ch = 0; ch < c; ++ch) {
-          Scalar* plane = out + static_cast<std::size_t>(b) * out_ns +
-                          static_cast<std::size_t>(ch) * out_cs;
-          for (int ky = 0; ky < kh; ++ky) {
-            const int iy = oy * stride + ky - pad_h;
-            if (iy < 0 || iy >= h) {
-              col += static_cast<std::size_t>(kw);
-              continue;
-            }
-            Scalar* line = plane + static_cast<std::size_t>(iy) * w;
-            const int ix0 = ox * stride - pad_w;
-            for (int kx = 0; kx < kw; ++kx, ++col) {
-              const int ix = ix0 + kx;
-              if (ix >= 0 && ix < w) line[ix] += irow[col];
-            }
-          }
+  const int oh = ConvOut(h, kh, stride, pad_h);
+  const int ow = ConvOut(w, kw, stride, pad_w);
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  const std::size_t ohw = static_cast<std::size_t>(oh) * ow;
+  // An input element meets tap (ky, kx) at oy = (iy + pad_h - ky)/stride,
+  // which falls as ky rises: walking the taps from the last to the first
+  // adds each element's contributions in ascending (oy, ox) order.
+  for (int ch = 0; ch < c; ++ch) {
+    for (int ky = kh - 1; ky >= 0; --ky) {
+      const TapSpan ys = SpanOf(h, oh, ky, stride, pad_h);
+      for (int kx = kw - 1; kx >= 0; --kx) {
+        const TapSpan xs = SpanOf(w, ow, kx, stride, pad_w);
+        const Scalar* src =
+            cols_t + (static_cast<std::size_t>(ch * kh + ky) * kw + kx) *
+                         (n * ohw);
+        for (int b = 0; b < n; ++b, src += ohw) {
+          Col2ImTapPlane(src, w, ow, stride, ys, xs, ky - pad_h, kx - pad_w,
+                         out + (static_cast<std::size_t>(b) * c + ch) * plane);
         }
       }
     }
   }
-}
-
-Tensor Col2Im(const Tensor& cols, const Shape& input_shape, int kh, int kw,
-              int stride, int pad_h, int pad_w) {
-  MHB_CHECK_EQ(cols.ndim(), 2);
-  MHB_CHECK_EQ(static_cast<int>(input_shape.size()), 4);
-  const int n = input_shape[0], c = input_shape[1], h = input_shape[2],
-            w = input_shape[3];
-  const int oh = (h + 2 * pad_h - kh) / stride + 1;
-  const int ow = (w + 2 * pad_w - kw) / stride + 1;
-  MHB_CHECK_EQ(cols.dim(0), n * oh * ow);
-  MHB_CHECK_EQ(cols.dim(1), c * kh * kw);
-  Tensor grad(input_shape);
-  Col2ImAcc(cols.data().data(), input_shape, kh, kw, stride, pad_h, pad_w,
-            grad.data().data());
-  return grad;
 }
 
 Tensor GatherDims(const Tensor& src, const DimIndices& index) {

@@ -3,9 +3,10 @@
 // masked federated aggregation are built on.
 //
 // The GEMM family routes through the packed kernel layer in
-// tensor/gemm.h; the raw `*Into` / `*Acc` variants let layers stage
-// temporaries in the per-thread scratch arena (tensor/scratch.h) instead of
-// allocating fresh tensors every minibatch.
+// tensor/gemm.h; the in-place `Im2ColT` and raw-pointer `Col2ImTAcc` let
+// layers keep column matrices in reused tensors and the per-thread scratch
+// arena (tensor/scratch.h) instead of allocating fresh tensors every
+// minibatch.
 #pragma once
 
 #include <optional>
@@ -36,35 +37,22 @@ Tensor LogSoftmaxRows(const Tensor& logits);
 // Index of the max element in each row of [n, c].
 std::vector<int> ArgmaxRows(const Tensor& t);
 
-// im2col for 2-D convolution.  Input [N, C, H, W]; returns
-// [N*OH*OW, C*KH*KW] with zero padding (pad_h, pad_w) and stride `stride`.
-Tensor Im2Col(const Tensor& input, int kh, int kw, int stride, int pad_h,
-              int pad_w);
-inline Tensor Im2Col(const Tensor& input, int kh, int kw, int stride,
-                     int pad) {
-  return Im2Col(input, kh, kw, stride, pad, pad);
-}
+// Channel-major im2col for 2-D convolution.  Resizes `cols_t` to the
+// column matrix [C*KH*KW, N*OH*OW] of `input` [N, C, H, W] and fills it:
+// row (c, ky, kx) holds, for each output position (n, oy, ox) in order,
+// the input pixel that kernel tap meets there — zero where it lands in the
+// padding (pad_h, pad_w).  With the columns on the long N*OH*OW axis, a
+// convolution is W[out_c, C*KH*KW] · colsᵀ: one output channel per GEMM
+// row, each row already NCHW-ordered within an image.
+void Im2ColT(const Tensor& input, int kh, int kw, int stride, int pad_h,
+             int pad_w, Tensor& cols_t);
 
-// Allocation-free im2col: writes the [N*OH*OW, C*KH*KW] column matrix into
-// `out` (fully overwritten, padding included).  `out` must hold
-// N*OH*OW * C*KH*KW floats.
-void Im2ColInto(const Tensor& input, int kh, int kw, int stride, int pad_h,
-                int pad_w, float* out);
-
-// Adjoint of Im2Col: scatters columns [N*OH*OW, C*KH*KW] back into an
-// input-shaped gradient [N, C, H, W].
-Tensor Col2Im(const Tensor& cols, const Shape& input_shape, int kh, int kw,
-              int stride, int pad_h, int pad_w);
-inline Tensor Col2Im(const Tensor& cols, const Shape& input_shape, int kh,
-                     int kw, int stride, int pad) {
-  return Col2Im(cols, input_shape, kh, kw, stride, pad, pad);
-}
-
-// Accumulating raw-pointer adjoint: `out` (an input-shaped gradient,
-// already initialized) receives `cols` scattered back; `cols` holds
-// N*OH*OW * C*KH*KW floats.
-void Col2ImAcc(const float* cols, const Shape& input_shape, int kh, int kw,
-               int stride, int pad_h, int pad_w, float* out);
+// Accumulating adjoint of Im2ColT: adds the column matrix `cols_t`
+// ([C*KH*KW, N*OH*OW] floats) back into the input-shaped gradient `out`
+// (already initialized).  Each input element receives its contributions
+// in ascending (oy, ox) order.
+void Col2ImTAcc(const float* cols_t, const Shape& input_shape, int kh,
+                int kw, int stride, int pad_h, int pad_w, float* out);
 
 // Per-dimension index selection.  `index[d]`, when present, lists the kept
 // indices along dimension d (in order, duplicates allowed); absent means

@@ -1,10 +1,12 @@
 #include "bench_support/experiment.h"
 
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/error.h"
+#include "obs/det_audit.h"
 
 namespace mhbench::bench_support {
 namespace {
@@ -88,6 +90,103 @@ TEST(ExperimentTest, DeterministicAcrossCalls) {
   const auto b = RunOne("depthfl", options);
   EXPECT_DOUBLE_EQ(a.global_accuracy, b.global_accuracy);
   EXPECT_DOUBLE_EQ(a.stability_variance, b.stability_variance);
+}
+
+// Each entry check must fire before any engine work: the options name an
+// unknown task, so reaching the fedavg-small baseline (or the requested
+// run) would fail with a different error.
+void ExpectRejectedAtEntry(const SuiteOptions& options,
+                           const std::string& field) {
+  for (bool suite : {true, false}) {
+    try {
+      if (suite) {
+        RunSuite({"sheterofl"}, options);
+      } else {
+        RunOne("sheterofl", options);
+      }
+      ADD_FAILURE() << field << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("SuiteOptions." + field),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+SuiteOptions UnrunnableOptions() {
+  SuiteOptions options;
+  options.task = "no-such-task";
+  options.preset = TinyPreset();
+  return options;
+}
+
+// Sets MHB_REPEATS for one scope.
+class RepeatsEnv {
+ public:
+  explicit RepeatsEnv(const char* value) { setenv("MHB_REPEATS", value, 1); }
+  ~RepeatsEnv() { unsetenv("MHB_REPEATS"); }
+};
+
+TEST(ValidateOptionsTest, RejectsRepeatsWithDetAudit) {
+  RepeatsEnv repeats("2");
+  obs::DetAuditor audit;
+  SuiteOptions options = UnrunnableOptions();
+  options.obs.det_audit = &audit;
+  ExpectRejectedAtEntry(options, "obs.det_audit");
+}
+
+TEST(ValidateOptionsTest, RejectsRepeatsWithCheckpointOrResume) {
+  RepeatsEnv repeats("2");
+  SuiteOptions options = UnrunnableOptions();
+  options.checkpoint_every = 2;
+  ExpectRejectedAtEntry(options, "checkpoint_every/resume_path");
+  options.checkpoint_every = 0;
+  options.resume_path = "round_000002.mhbsnap";
+  ExpectRejectedAtEntry(options, "checkpoint_every/resume_path");
+}
+
+TEST(ValidateOptionsTest, RejectsNegativeDirichletAlpha) {
+  SuiteOptions options = UnrunnableOptions();
+  options.dirichlet_alpha = -1.0;
+  ExpectRejectedAtEntry(options, "dirichlet_alpha");
+}
+
+TEST(ValidateOptionsTest, RejectsTargetFractionOutsideUnitInterval) {
+  SuiteOptions options = UnrunnableOptions();
+  for (double bad : {0.0, -0.5, 1.5}) {
+    options.target_fraction = bad;
+    ExpectRejectedAtEntry(options, "target_fraction");
+  }
+}
+
+TEST(ValidateOptionsTest, RejectsNegativeCheckpointEvery) {
+  SuiteOptions options = UnrunnableOptions();
+  options.checkpoint_every = -1;
+  ExpectRejectedAtEntry(options, "checkpoint_every");
+}
+
+TEST(ValidateOptionsTest, RejectsUnknownEvalPrecision) {
+  SuiteOptions options = UnrunnableOptions();
+  options.preset.eval_precision = "fp8";
+  ExpectRejectedAtEntry(options, "preset.eval_precision");
+}
+
+TEST(ValidateOptionsTest, AcceptsSingleRunDetAuditAndBoundaryValues) {
+  // Repeats of 1 keep det-audit and checkpointing legal, and alpha 0 /
+  // target 1 sit on the accepted edges: these reach the task lookup.
+  obs::DetAuditor audit;
+  SuiteOptions options = UnrunnableOptions();
+  options.obs.det_audit = &audit;
+  options.checkpoint_every = 2;
+  options.dirichlet_alpha = 0.0;
+  options.target_fraction = 1.0;
+  try {
+    RunOne("sheterofl", options);
+    ADD_FAILURE() << "unknown task accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("SuiteOptions."), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PresetTest, EnvOverrides) {

@@ -1,9 +1,9 @@
 // Per-device-tier cohort rollups (DESIGN.md §5j): tier-keyed counters and
 // histograms (`<base>@<tier>` registry names) and the client event journal
 // must be bit-identical across thread counts and exporter on/off — the
-// tier dimension rides the same per-thread-sink / barrier-merge machinery
-// as everything else — and the per-tier totals must exactly partition the
-// untiered ones.  Also covers the journal's engine-side contract: one
+// tier twins come from the same serial fold of the staged per-client rows
+// at the round barrier as the untiered counters — and the per-tier totals
+// must exactly partition the untiered ones.  Also covers the journal's engine-side contract: one
 // block per round barrier, the taxonomy in every record, and per-round
 // (not per-run) memory bounds on the drain path.
 #include <gtest/gtest.h>

@@ -94,25 +94,30 @@ TEST(ArgmaxTest, PicksMaxPerRow) {
 }
 
 TEST(Im2ColTest, IdentityKernelNoPad) {
-  // 1x1 kernel, stride 1, no pad: columns are just the pixels.
-  Tensor x({1, 2, 2, 2}, std::vector<Scalar>{1, 2, 3, 4, 5, 6, 7, 8});
-  const Tensor cols = ops::Im2Col(x, 1, 1, 1, 0);
-  EXPECT_EQ(cols.dim(0), 4);
-  EXPECT_EQ(cols.dim(1), 2);
-  // Row (oy=0, ox=0): channels (1, 5).
+  // 1x1 kernel, stride 1, no pad: column r of channel row c is pixel r of
+  // plane c, images laid end to end.
+  Tensor x({2, 2, 1, 2}, std::vector<Scalar>{1, 2, 3, 4, 5, 6, 7, 8});
+  Tensor cols;
+  ops::Im2ColT(x, 1, 1, 1, 0, 0, cols);
+  EXPECT_EQ(cols.dim(0), 2);
+  EXPECT_EQ(cols.dim(1), 4);
+  // Channel 0: image 0 (1, 2) then image 1 (5, 6).
   EXPECT_EQ(cols.at({0, 0}), 1.0f);
-  EXPECT_EQ(cols.at({0, 1}), 5.0f);
-  // Row (oy=1, ox=1): channels (4, 8).
-  EXPECT_EQ(cols.at({3, 0}), 4.0f);
-  EXPECT_EQ(cols.at({3, 1}), 8.0f);
+  EXPECT_EQ(cols.at({0, 1}), 2.0f);
+  EXPECT_EQ(cols.at({0, 2}), 5.0f);
+  EXPECT_EQ(cols.at({0, 3}), 6.0f);
+  // Channel 1: image 0 (3, 4) then image 1 (7, 8).
+  EXPECT_EQ(cols.at({1, 0}), 3.0f);
+  EXPECT_EQ(cols.at({1, 3}), 8.0f);
 }
 
 TEST(Im2ColTest, PaddingProducesZeros) {
   Tensor x({1, 1, 1, 1}, std::vector<Scalar>{5});
-  const Tensor cols = ops::Im2Col(x, 3, 3, 1, 1);
-  EXPECT_EQ(cols.dim(0), 1);
-  EXPECT_EQ(cols.dim(1), 9);
-  // Center element of the 3x3 window is the pixel, everything else zero.
+  Tensor cols;
+  ops::Im2ColT(x, 3, 3, 1, 1, 1, cols);
+  EXPECT_EQ(cols.dim(0), 9);
+  EXPECT_EQ(cols.dim(1), 1);
+  // Center tap of the 3x3 window is the pixel, every other tap is padding.
   for (int i = 0; i < 9; ++i) {
     EXPECT_EQ(cols[static_cast<std::size_t>(i)], i == 4 ? 5.0f : 0.0f);
   }
@@ -120,20 +125,23 @@ TEST(Im2ColTest, PaddingProducesZeros) {
 
 TEST(Im2ColTest, OutputSizeWithStride) {
   Tensor x({2, 3, 8, 8});
-  const Tensor cols = ops::Im2Col(x, 3, 3, 2, 1);
+  Tensor cols;
+  ops::Im2ColT(x, 3, 3, 2, 1, 1, cols);
   // OH = OW = (8 + 2 - 3)/2 + 1 = 4.
-  EXPECT_EQ(cols.dim(0), 2 * 4 * 4);
-  EXPECT_EQ(cols.dim(1), 3 * 9);
+  EXPECT_EQ(cols.dim(0), 3 * 9);
+  EXPECT_EQ(cols.dim(1), 2 * 4 * 4);
 }
 
 TEST(Col2ImTest, AdjointOfIm2Col) {
-  // <Im2Col(x), y> == <x, Col2Im(y)> for random x, y (adjoint property).
+  // <Im2ColT(x), y> == <x, Col2ImT(y)> for random x, y (adjoint property).
   Rng rng(6);
   const Shape xshape = {2, 3, 6, 6};
   Tensor x = Tensor::Randn(xshape, rng);
-  const Tensor cx = ops::Im2Col(x, 3, 3, 2, 1);
+  Tensor cx;
+  ops::Im2ColT(x, 3, 3, 2, 1, 1, cx);
   Tensor y = Tensor::Randn(cx.shape(), rng);
-  const Tensor cty = ops::Col2Im(y, xshape, 3, 3, 2, 1);
+  Tensor cty(xshape);
+  ops::Col2ImTAcc(y.data().data(), xshape, 3, 3, 2, 1, 1, cty.data().data());
   double lhs = 0, rhs = 0;
   for (std::size_t i = 0; i < cx.numel(); ++i) lhs += static_cast<double>(cx[i]) * y[i];
   for (std::size_t i = 0; i < x.numel(); ++i) rhs += static_cast<double>(x[i]) * cty[i];
