@@ -11,6 +11,7 @@
 #include "device/device_profile.h"
 #include "fl/aggregator.h"
 #include "models/zoo.h"
+#include "nn/activation.h"
 #include "nn/conv.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
@@ -185,6 +186,28 @@ void BM_Conv2d1x1Backward(benchmark::State& state) {
   Conv2dBackwardBody(state, kConv1x1, kernels::Backend::kFast);
 }
 BENCHMARK(BM_Conv2d1x1Backward);
+
+// GELU over a transformer FFN activation ([batch·seq, ffn] = [192, 32]).
+// No naive twin: GELU has no kernel-layer backend to compare against.
+void BM_GeluForward(benchmark::State& state) {
+  Rng rng(4);
+  nn::Gelu gelu;
+  const Tensor x = Tensor::Randn({192, 32}, rng);
+  for (auto _ : state) benchmark::DoNotOptimize(gelu.Forward(x, true));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_GeluForward);
+
+void BM_GeluBackward(benchmark::State& state) {
+  Rng rng(4);
+  nn::Gelu gelu;
+  const Tensor x = Tensor::Randn({192, 32}, rng);
+  gelu.Forward(x, true);
+  const Tensor g = Tensor::Randn(x.shape(), rng);
+  for (auto _ : state) benchmark::DoNotOptimize(gelu.Backward(g));
+  state.SetItemsProcessed(state.iterations() * x.numel());
+}
+BENCHMARK(BM_GeluBackward);
 
 void BM_GatherSubmodel(benchmark::State& state) {
   Rng rng(4);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "obs/profile.h"
+
 namespace mhbench::nn {
 
 Tensor ReLU::Forward(const Tensor& x, bool /*train*/) {
@@ -25,36 +27,58 @@ Tensor ReLU::Backward(const Tensor& grad_out) {
 }
 
 namespace {
-// tanh-approximation GELU and its derivative.
+// tanh-approximation GELU: y = 0.5·x·(1 + tanh u), u = c·(x + 0.044715·x³).
+// Value and derivative share t = tanh(u); each keeps the exact operands and
+// operation order of the formula, so results do not depend on whether t
+// was computed once or twice.
 constexpr double kGeluC = 0.7978845608028654;  // sqrt(2/pi)
 
-double GeluValue(double x) {
-  const double t = std::tanh(kGeluC * (x + 0.044715 * x * x * x));
-  return 0.5 * x * (1.0 + t);
-}
+double GeluArg(double x) { return kGeluC * (x + 0.044715 * x * x * x); }
 
-double GeluDeriv(double x) {
-  const double u = kGeluC * (x + 0.044715 * x * x * x);
-  const double t = std::tanh(u);
+double GeluValue(double x, double t) { return 0.5 * x * (1.0 + t); }
+
+double GeluDeriv(double x, double t) {
   const double du = kGeluC * (1.0 + 3.0 * 0.044715 * x * x);
   return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du;
 }
 }  // namespace
 
-Tensor Gelu::Forward(const Tensor& x, bool /*train*/) {
-  cached_input_ = x;
-  Tensor y = x;
-  for (auto& v : y.data()) v = static_cast<Scalar>(GeluValue(v));
+Tensor Gelu::Forward(const Tensor& x, bool train) {
+  obs::ProfileScope profile_scope("gelu_fwd");
+  Tensor y = Tensor::Uninitialized(x.shape());
+  auto in = x.data();
+  auto out = y.data();
+  if (!train) {
+    cached_shape_.clear();
+    cached_deriv_.clear();
+    cached_deriv_.shrink_to_fit();
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const double v = in[i];
+      out[i] = static_cast<Scalar>(GeluValue(v, std::tanh(GeluArg(v))));
+    }
+    return y;
+  }
+  cached_shape_ = x.shape();
+  cached_deriv_.resize(in.size());
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    const double v = in[i];
+    const double t = std::tanh(GeluArg(v));
+    out[i] = static_cast<Scalar>(GeluValue(v, t));
+    cached_deriv_[i] = GeluDeriv(v, t);
+  }
   return y;
 }
 
 Tensor Gelu::Backward(const Tensor& grad_out) {
-  MHB_CHECK(grad_out.shape() == cached_input_.shape());
-  Tensor gx = grad_out;
-  auto in = cached_input_.data();
-  auto g = gx.data();
+  obs::ProfileScope profile_scope("gelu_bwd");
+  MHB_CHECK(!cached_shape_.empty())
+      << "Gelu::Backward without a training Forward";
+  MHB_CHECK(grad_out.shape() == cached_shape_);
+  Tensor gx = Tensor::Uninitialized(grad_out.shape());
+  auto g = grad_out.data();
+  auto out = gx.data();
   for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] = static_cast<Scalar>(g[i] * GeluDeriv(in[i]));
+    out[i] = static_cast<Scalar>(g[i] * cached_deriv_[i]);
   }
   return gx;
 }

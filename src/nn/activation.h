@@ -15,6 +15,11 @@ class ReLU : public Module {
   Tensor cached_input_;
 };
 
+// tanh-approximation GELU.  A training forward evaluates tanh once per
+// element and keeps the exact derivative, in double so Backward's
+// float(g · d) rounds exactly as recomputing it would; Backward only
+// multiplies.  An eval forward (train = false) keeps nothing, and a
+// Backward after it fails.
 class Gelu : public Module {
  public:
   Tensor Forward(const Tensor& x, bool train) override;
@@ -22,7 +27,8 @@ class Gelu : public Module {
   void CollectParams(const std::string&, std::vector<NamedParam>&) override {}
 
  private:
-  Tensor cached_input_;
+  Shape cached_shape_;
+  std::vector<double> cached_deriv_;
 };
 
 class Tanh : public Module {

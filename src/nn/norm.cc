@@ -51,8 +51,8 @@ Tensor BatchNorm::Forward(const Tensor& x, bool train) {
   cached_train_ = train;
 
   const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(s);
-  Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
+  Tensor y = Tensor::Uninitialized(x.shape());
+  cached_xhat_ = Tensor::Uninitialized(x.shape());
   cached_std_.assign(static_cast<std::size_t>(c), 1.0f);
 
   const Scalar* px = x.data().data();
@@ -113,7 +113,7 @@ Tensor BatchNorm::Backward(const Tensor& grad_out) {
   SplitNCS(cached_shape_, n, c, s);
   const double m = static_cast<double>(n) * s;
 
-  Tensor gx(cached_shape_);
+  Tensor gx = Tensor::Uninitialized(cached_shape_);
   const Scalar* pg = grad_out.data().data();
   const Scalar* pxh = cached_xhat_.data().data();
   Scalar* pgx = gx.data().data();
@@ -180,8 +180,8 @@ Tensor LayerNorm::Forward(const Tensor& x, bool /*train*/) {
   const int d = x.dim(x.ndim() - 1);
   MHB_CHECK_EQ(d, dim());
   const std::size_t rows = x.numel() / static_cast<std::size_t>(d);
-  Tensor y(x.shape());
-  cached_xhat_ = Tensor(x.shape());
+  Tensor y = Tensor::Uninitialized(x.shape());
+  cached_xhat_ = Tensor::Uninitialized(x.shape());
   cached_inv_std_.assign(rows, 1.0f);
 
   const Scalar* px = x.data().data();
@@ -216,7 +216,7 @@ Tensor LayerNorm::Backward(const Tensor& grad_out) {
   MHB_CHECK(grad_out.shape() == cached_xhat_.shape());
   const int d = dim();
   const std::size_t rows = grad_out.numel() / static_cast<std::size_t>(d);
-  Tensor gx(grad_out.shape());
+  Tensor gx = Tensor::Uninitialized(grad_out.shape());
   const Scalar* pg = grad_out.data().data();
   const Scalar* pxh = cached_xhat_.data().data();
   Scalar* pgx = gx.data().data();

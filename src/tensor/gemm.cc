@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "core/error.h"
 #include "core/logging.h"
+#include "core/mutex.h"
+#include "core/thread_annotations.h"
 #include "core/thread_pool.h"
 #include "tensor/gemm_kernels.h"
 #include "tensor/scratch.h"
@@ -14,10 +17,71 @@
 namespace mhbench::kernels {
 namespace {
 
-std::atomic<std::uint64_t> g_flops{0};
-std::atomic<std::uint64_t> g_flops_bf16{0};
-std::atomic<std::uint64_t> g_flops_int8{0};
-thread_local std::uint64_t tl_flops = 0;
+// Per-thread GEMM flop tallies, one counter per EvalPrecision.  Only the
+// owning thread writes its tally (a relaxed load + store, no locked
+// read-modify-write), so concurrent Gemm calls never contend on a shared
+// counter.  The registry lists the live tallies and folds each one into
+// `retired` when its thread exits; the totals sum both under the lock.
+constexpr int kNumPrecisions = 3;
+
+struct FlopTally {
+  FlopTally();
+  ~FlopTally();
+  FlopTally(const FlopTally&) = delete;
+  FlopTally& operator=(const FlopTally&) = delete;
+
+  void Add(EvalPrecision p, std::uint64_t flops) {
+    std::atomic<std::uint64_t>& c = by_precision[static_cast<int>(p)];
+    c.store(c.load(std::memory_order_relaxed) + flops,
+            std::memory_order_relaxed);
+  }
+
+  std::atomic<std::uint64_t> by_precision[kNumPrecisions] = {};
+};
+
+struct FlopRegistry {
+  core::Mutex mu;
+  std::vector<const FlopTally*> live MHB_GUARDED_BY(mu);
+  std::uint64_t retired[kNumPrecisions] MHB_GUARDED_BY(mu) = {};
+};
+
+FlopRegistry& TheFlopRegistry() {
+  static FlopRegistry registry;
+  return registry;
+}
+
+FlopTally::FlopTally() {
+  FlopRegistry& registry = TheFlopRegistry();
+  core::MutexLock lock(registry.mu);
+  // mhb-lint: allow(no-heap-in-hotpath) -- once per thread at its first GEMM
+  registry.live.push_back(this);
+}
+
+FlopTally::~FlopTally() {
+  FlopRegistry& registry = TheFlopRegistry();
+  core::MutexLock lock(registry.mu);
+  for (int p = 0; p < kNumPrecisions; ++p) {
+    registry.retired[p] += by_precision[p].load(std::memory_order_relaxed);
+  }
+  auto& live = registry.live;
+  live.erase(std::remove(live.begin(), live.end(), this), live.end());
+}
+
+FlopTally& ThreadFlopTally() {
+  static thread_local FlopTally tally;
+  return tally;
+}
+
+std::uint64_t SumGemmFlops(EvalPrecision p) {
+  const int i = static_cast<int>(p);
+  FlopRegistry& registry = TheFlopRegistry();
+  core::MutexLock lock(registry.mu);
+  std::uint64_t total = registry.retired[i];
+  for (const FlopTally* t : registry.live) {
+    total += t->by_precision[i].load(std::memory_order_relaxed);
+  }
+  return total;
+}
 
 thread_local EvalPrecision tl_eval_precision = EvalPrecision::kF32;
 
@@ -460,19 +524,24 @@ void ColSumAcc(const float* rows, int nrows, int ncols, int ld, float* out) {
   }
 }
 
-std::uint64_t TotalGemmFlops() {
-  return g_flops.load(std::memory_order_relaxed);
-}
+std::uint64_t TotalGemmFlops() { return SumGemmFlops(EvalPrecision::kF32); }
 
 std::uint64_t TotalGemmFlopsBf16() {
-  return g_flops_bf16.load(std::memory_order_relaxed);
+  return SumGemmFlops(EvalPrecision::kBf16);
 }
 
 std::uint64_t TotalGemmFlopsInt8() {
-  return g_flops_int8.load(std::memory_order_relaxed);
+  return SumGemmFlops(EvalPrecision::kInt8);
 }
 
-std::uint64_t ThreadGemmFlops() { return tl_flops; }
+std::uint64_t ThreadGemmFlops() {
+  const FlopTally& tally = ThreadFlopTally();
+  std::uint64_t total = 0;
+  for (const auto& c : tally.by_precision) {
+    total += c.load(std::memory_order_relaxed);
+  }
+  return total;
+}
 
 namespace internal {
 
@@ -506,18 +575,7 @@ void CountGemmFlops(int m, int n, int k, EvalPrecision p) {
   const std::uint64_t flops = 2ull * static_cast<std::uint64_t>(m) *
                               static_cast<std::uint64_t>(n) *
                               static_cast<std::uint64_t>(k);
-  switch (p) {
-    case EvalPrecision::kBf16:
-      g_flops_bf16.fetch_add(flops, std::memory_order_relaxed);
-      break;
-    case EvalPrecision::kInt8:
-      g_flops_int8.fetch_add(flops, std::memory_order_relaxed);
-      break;
-    case EvalPrecision::kF32:
-      g_flops.fetch_add(flops, std::memory_order_relaxed);
-      break;
-  }
-  tl_flops += flops;
+  ThreadFlopTally().Add(p, flops);
 }
 
 }  // namespace internal

@@ -170,15 +170,17 @@ void ColSumAcc(const float* rows, int nrows, int ncols, int ld, float* out);
 // (2*m*n*k per call, both backends).  Monotone; the engine publishes round
 // deltas as the `gemm_flops` counter.  The reduced-precision variants count
 // into their own totals below, so per-precision work is separable in the
-// obs registry.
+// obs registry.  Each thread counts into its own tally (no shared counter
+// on the Gemm path); these sum every live tally plus those of exited
+// threads under a lock, so read them from serial phases, not per call.
 std::uint64_t TotalGemmFlops();
 std::uint64_t TotalGemmFlopsBf16();
 std::uint64_t TotalGemmFlopsInt8();
 
-// Calling thread's share of all GEMM FLOPs, every precision (monotone, no
-// synchronization).  The per-op profiler differences it around a scope;
-// using the global total there would attribute other threads' concurrent
-// GEMMs to this scope.
+// Calling thread's share of all GEMM FLOPs, every precision (monotone,
+// lock-free: reads only the caller's tally).  The per-op profiler
+// differences it around a scope; using the global total there would
+// attribute other threads' concurrent GEMMs to this scope.
 std::uint64_t ThreadGemmFlops();
 
 namespace internal {
@@ -201,8 +203,7 @@ void GemmRaw(bool trans_a, bool trans_b, int m, int n, int k, const float* a,
 void ScaleBiasEpilogue(int m, int n, float beta, float* c, int ldc,
                        const float* bias);
 
-// Counts 2*m*n*k into the per-precision global total and the calling
-// thread's total.
+// Counts 2*m*n*k into the calling thread's tally for precision `p`.
 void CountGemmFlops(int m, int n, int k, EvalPrecision p);
 }  // namespace internal
 

@@ -35,7 +35,9 @@ class ParallelDeterminismTest : public ::testing::TestWithParam<Case> {};
 // Rng in ClientSpec — which catches any shift of the forked streams), the
 // depth family (DepthFL's ucihar transformer path included), and both
 // topology methods (personal prototype models; shared distillation group
-// models on the eval path).
+// models on the eval path), FedProto also on a text task so the
+// transformer family (attention, layernorm, GELU) runs on every thread
+// count.  Cases are named <algorithm>_<task>.
 INSTANTIATE_TEST_SUITE_P(
     Levels, ParallelDeterminismTest,
     ::testing::ValuesIn(std::vector<Case>{
@@ -47,10 +49,11 @@ INSTANTIATE_TEST_SUITE_P(
         {"inclusivefl", "cifar10"},
         {"fedepth", "cifar10"},
         {"fedproto", "cifar10"},
+        {"fedproto", "agnews"},
         {"fedet", "cifar10"},
     }),
     [](const ::testing::TestParamInfo<Case>& info) {
-      return info.param.algorithm;
+      return info.param.algorithm + "_" + info.param.task;
     });
 
 // Assignments exercising every skip path: a capacity ladder, flaky devices

@@ -4,9 +4,11 @@
 // zero-allocation steady state of the conv hot path.
 #include "tensor/gemm.h"
 
+#include <atomic>
 #include <cmath>
 #include <future>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -196,6 +198,53 @@ TEST(GemmTest, FlopCounterAdvancesByTwoMnk) {
   std::vector<float> a(12, 1.0f), b(12, 1.0f), c(9, 0.0f);
   Gemm(false, false, 3, 3, 4, a.data(), 4, b.data(), 3, 0.0f, c.data(), 3);
   EXPECT_EQ(kernels::TotalGemmFlops() - before, 2ull * 3 * 3 * 4);
+}
+
+// Each thread counts into its own tally; the total must be monotone while
+// the threads count, and exact while two threads are alive and two others
+// have exited (their tallies folded into the retired total).
+TEST(GemmTest, FlopCounterSumsConcurrentAndExitedThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 200;
+  const std::uint64_t before = kernels::TotalGemmFlops();
+  std::vector<std::uint64_t> own(kThreads, 0);
+  std::atomic<int> counted{0};
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::vector<std::thread> threads;
+  std::uint64_t expected = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    const int k = t + 1;  // distinct per-thread flop counts
+    expected += 2ull * 2 * 3 * k * kCalls;
+    threads.emplace_back([t, k, &own, &counted, released] {
+      std::vector<float> a(2 * k, 1.0f), b(3 * k, 1.0f), c(6, 0.0f);
+      const std::uint64_t mine0 = kernels::ThreadGemmFlops();
+      for (int i = 0; i < kCalls; ++i) {
+        Gemm(false, false, 2, 3, k, a.data(), k, b.data(), 3, 0.0f, c.data(),
+             3);
+      }
+      own[static_cast<std::size_t>(t)] = kernels::ThreadGemmFlops() - mine0;
+      counted.fetch_add(1, std::memory_order_release);
+      if (t >= 2) released.wait();  // threads 0 and 1 exit early
+    });
+  }
+  std::uint64_t seen = 0;
+  while (counted.load(std::memory_order_acquire) < kThreads) {
+    const std::uint64_t now = kernels::TotalGemmFlops() - before;
+    EXPECT_GE(now, seen);
+    seen = now;
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(own[static_cast<std::size_t>(t)],
+              2ull * 2 * 3 * (t + 1) * kCalls);
+  }
+  threads[0].join();
+  threads[1].join();
+  EXPECT_EQ(kernels::TotalGemmFlops() - before, expected);
+  release.set_value();
+  threads[2].join();
+  threads[3].join();
+  EXPECT_EQ(kernels::TotalGemmFlops() - before, expected);
 }
 
 TEST(GemmTest, ZeroSizedDimsFollowTheDegenerateContract) {
