@@ -28,14 +28,13 @@ struct SuiteOptions {
   double target_fraction = 0.7;
   std::uint64_t fleet_seed = 11;
   // Observability hooks threaded into every engine run of the suite
-  // (tracer / registry / profiler / live-exporter pointers; all-null
-  // disables collection).  The live exporter (obs/live.h) rides along
-  // here: every engine run of the suite — baseline included — notifies it
-  // at round barriers, so the watchdog and /status.json cover the whole
-  // suite, not just the requested algorithm.  Exception: obs.det_audit
-  // (obs/det_audit.h) reaches only the requested algorithm's run — its
-  // ledger header names one run, so the FedAvg reference run is excluded —
-  // and requires MHB_REPEATS=1.
+  // (tracer / registry / profiler pointers; all-null disables
+  // collection).  Every engine run of the suite — baseline included —
+  // reports into them, so a registry's round sink streams the whole
+  // suite's rounds into the run directory, not just the requested
+  // algorithm's.  Exception: obs.det_audit (obs/det_audit.h) reaches only
+  // the requested algorithm's run — its ledger header names one run, so
+  // the FedAvg reference run is excluded — and requires MHB_REPEATS=1.
   obs::ObsConfig obs;
   // Checkpoint/resume, forwarded into the engine config of the *requested*
   // algorithm's run only — never the fedavg-small effectiveness baseline.

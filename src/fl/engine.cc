@@ -15,7 +15,6 @@
 #include "fl/evaluation.h"
 #include "nn/lr_schedule.h"
 #include "obs/det_audit.h"
-#include "obs/live.h"
 #include "obs/profile.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -474,13 +473,6 @@ RunResult FlEngine::Run() {
       AuditRound(round);
     }
 
-    // Live telemetry heartbeat, after EndRound so a poller that sees round
-    // N in /status.json also sees round N's published totals.  Strictly
-    // one-way: the exporter records progress, nothing flows back.
-    if (config_.obs.live != nullptr) {
-      config_.obs.live->NotifyProgress(round, sim_time);
-    }
-
     if (config_.checkpoint_every > 0 &&
         (round + 1) % config_.checkpoint_every == 0) {
       // After the round barrier: the round's totals are published (EndRound
@@ -631,9 +623,6 @@ void FlEngine::WriteCheckpoint(int next_round, double sim_time,
   const std::string path =
       config_.checkpoint_dir + "/round_" + num + ".mhbsnap";
   w.WriteFile(path, &config_.obs);
-  if (config_.obs.live != nullptr) {
-    config_.obs.live->NotifyCheckpoint(next_round, path);
-  }
   MHB_LOG_INFO << algorithm_.name() << " checkpoint @round " << next_round
                << " -> " << path;
 }

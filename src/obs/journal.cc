@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstring>
+#include <string>
 
 #include "core/error.h"
 
@@ -168,6 +169,11 @@ bool JournalSampleClient(std::uint64_t seed, int client, double rate) {
 ClientJournalWriter::ClientJournalWriter(const std::string& path,
                                          const Options& options)
     : path_(path), options_(options) {
+  // Negated so that NaN fails too; checked before the file is touched.
+  if (!(options_.sample_rate >= 0.0 && options_.sample_rate <= 1.0)) {
+    throw Error("ClientJournalWriter::Options.sample_rate must be in [0, 1], "
+                "got " + std::to_string(options_.sample_rate));
+  }
   out_.open(path, std::ios::binary | std::ios::trunc);
   if (!out_.good()) throw Error("cannot open client journal " + path);
   buf_.clear();

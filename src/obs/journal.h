@@ -28,8 +28,9 @@
 // Determinism: the measured wall time is deliberately NOT in the record
 // (it lives in the client_wall_us histograms) — every field is a pure
 // function of the cost model and the serial phase-1 draws, so journal
-// BYTES are bit-identical across --threads and exporter on/off.  Any
-// format change bumps kVersion; readers reject other versions outright.
+// BYTES are bit-identical across --threads and with any other collector on
+// or off.  Any format change bumps kVersion; readers reject other versions
+// outright.
 //
 // Client sampling: `sample_rate` keeps a deterministic seed-hashed subset
 // of clients (JournalSampleClient) — the same clients at any thread count,
@@ -66,7 +67,8 @@ class ClientJournalWriter {
   };
 
   // Creates/truncates `path` and writes the header.  Throws mhbench::Error
-  // on I/O failure.
+  // on I/O failure, or before touching `path` when `sample_rate` is NaN or
+  // outside [0, 1].
   ClientJournalWriter(const std::string& path, const Options& options);
   ~ClientJournalWriter();
 

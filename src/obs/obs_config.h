@@ -8,7 +8,6 @@ namespace mhbench::obs {
 class Tracer;
 class Registry;
 class Profiler;
-class LiveExporter;
 class DetAuditor;
 
 struct ObsConfig {
@@ -23,21 +22,11 @@ struct ObsConfig {
   // Also emit simulated-clock spans (one lane per client) on the tracer's
   // sim track.  Requires `tracer`.
   bool sim_spans = false;
-  // Live telemetry (obs/live.h): the engine notifies it at every round
-  // barrier (NotifyProgress) and after every checkpoint write
-  // (NotifyCheckpoint).  The exporter itself only *reads* registry state,
-  // so attaching it cannot change results (DESIGN.md §5h).
-  LiveExporter* live = nullptr;
   // Determinism divergence auditor (obs/det_audit.h): the engine records a
   // per-component barrier hash chain at every round barrier.  Read-only
   // over engine state, so attaching it cannot change results
   // (DESIGN.md §5k).
   DetAuditor* det_audit = nullptr;
-
-  bool enabled() const {
-    return tracer != nullptr || registry != nullptr || profiler != nullptr ||
-           live != nullptr || det_audit != nullptr;
-  }
 };
 
 }  // namespace mhbench::obs

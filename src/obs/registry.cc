@@ -302,35 +302,6 @@ void Registry::SetClientRowSink(
   client_row_sink_ = std::move(sink);
 }
 
-Registry::LiveSnapshot Registry::SnapshotTotals() const {
-  LiveSnapshot snap;
-  core::MutexLock lock(mu_);
-  for (std::size_t id = 0; id < names_.size(); ++id) {
-    snap.counters[names_[id]] = totals_[id];
-  }
-  for (std::size_t id = 0; id < hist_names_.size(); ++id) {
-    if (!hist_totals_[id].empty()) {
-      snap.hists[hist_names_[id]] = hist_totals_[id];
-    }
-  }
-  snap.rounds_completed = rounds_.size();
-  for (const auto& row : rounds_) {
-    auto it = row.gauges.find("global_acc");
-    if (it != row.gauges.end()) {
-      snap.accuracy.emplace_back(row.round, it->second);
-    }
-  }
-  if (!rounds_.empty()) {
-    const RoundRow& last = rounds_.back();
-    snap.last_round = last.round;
-    snap.last_run = last.run;
-    snap.last_gauges = last.gauges;
-    auto it = last.gauges.find("sim_time_s");
-    if (it != last.gauges.end()) snap.sim_time_s = it->second;
-  }
-  return snap;
-}
-
 std::int64_t Registry::Total(const std::string& name) const {
   core::MutexLock lock(mu_);
   auto it = ids_.find(name);

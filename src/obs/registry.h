@@ -29,7 +29,7 @@
 // Tier-keyed rollups (DESIGN.md §5j) are ordinary counters/histograms named
 // `<base>@<tier>` (e.g. "clients_trained@mem16g"); '@' never appears in
 // untiered names.  TierKey / SplitTierKey below own that format, so every
-// exporter splits names the same way.
+// writer splits names the same way.
 #pragma once
 
 #include <array>
@@ -38,7 +38,6 @@
 #include <map>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/mutex.h"
@@ -177,27 +176,6 @@ class Registry {
   // function to uninstall.
   void SetRoundSink(std::function<void(const RoundRow&)> sink)
       MHB_EXCLUDES(mu_);
-
-  // Lock-bounded cross-thread view of the *published* state: published
-  // counter/histogram totals plus the last completed round's label, gauges
-  // and the accuracy-curve points gathered from the round rows.  Never
-  // reads staged adds, so it is safe to call from a background exporter
-  // thread while client work is running; it simply cannot observe anything
-  // that has not crossed a round barrier yet.  Strictly read-only: the live
-  // exporter's determinism contract (DESIGN.md §5h) depends on this being
-  // the only registry surface it touches.
-  struct LiveSnapshot {
-    std::map<std::string, std::int64_t> counters;    // published totals
-    std::map<std::string, HistogramData> hists;      // published, non-empty
-    int last_round = -1;                   // -1 before the first EndRound
-    std::string last_run;                  // last round row's run label
-    std::map<std::string, double> last_gauges;  // last round row's gauges
-    std::size_t rounds_completed = 0;      // number of EndRound rows
-    double sim_time_s = 0.0;               // last row's sim_time_s gauge
-    // (round, global_acc) for every row that carried an evaluation.
-    std::vector<std::pair<int, double>> accuracy;
-  };
-  LiveSnapshot SnapshotTotals() const MHB_EXCLUDES(mu_);
 
   // One sampled client in one round: the cost model's simulated clock
   // joined with the measured wall time and the round's drop decision.

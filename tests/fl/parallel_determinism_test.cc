@@ -14,11 +14,9 @@
 #include "fl/engine.h"
 #include "models/zoo.h"
 #include "obs/det_audit.h"
-#include "obs/live.h"
 #include "obs/profile.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "support/temp_dir.h"
 
 namespace mhbench::fl {
 namespace {
@@ -94,28 +92,10 @@ RunResult RunWithThreads(const Case& c, const data::Task& task,
   cfg.stability_max_samples = 48;
   cfg.round_deadline_s = 25.0;  // compute 26 + comm 2 exceeds it
   cfg.num_threads = num_threads;
-
-  // Every run in this suite — the serial reference included — carries the
-  // live exporter with HTTP server, heartbeat and watchdog all enabled, so
-  // the bit-identity assertions below double as proof that live telemetry
-  // cannot perturb any algorithm at any thread count (obs/live.h).
-  const auto live_dir = testsupport::MakeTempDir();
-  obs::LiveConfig lcfg;
-  lcfg.http_port = 0;  // ephemeral
-  lcfg.heartbeat_every_s = 0.05;
-  lcfg.heartbeat_path = live_dir.File("heartbeat.jsonl");
-  lcfg.watchdog_stall_s = 120.0;  // armed; must never fire on a live run
-  lcfg.run_id = c.algorithm + "-parallel-determinism";
-  lcfg.rounds_total = cfg.rounds;
-  obs::LiveExporter live(lcfg, obs.registry);
-  obs.live = &live;
   cfg.obs = obs;
 
   FlEngine engine(task, cfg, HeterogeneousAssignments(6), *alg);
-  RunResult result = engine.Run();
-  live.Stop();
-  EXPECT_EQ(live.stall_count(), 0) << "watchdog fired on a healthy run";
-  return result;
+  return engine.Run();
 }
 
 // Bit-identical comparison: exact double equality, field by field.

@@ -8,7 +8,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -374,6 +376,33 @@ TEST(JournalWriterTest, AppendAfterCloseThrowsAndEmptyAppendIsANoOp) {
   // The header alone is a valid, empty journal.
   const ClientJournalContents contents = ReadClientJournal(path);
   EXPECT_TRUE(contents.records.empty());
+}
+
+TEST(JournalWriterTest, SampleRateOutsideUnitIntervalOrNanThrows) {
+  const testsupport::TempDir dir = testsupport::MakeTempDir();
+  const std::string path = dir.File("clients.mhbj");
+  for (const double rate : {-0.01, 1.0000001, 7.0,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::infinity()}) {
+    ClientJournalWriter::Options opts;
+    opts.sample_rate = rate;
+    try {
+      ClientJournalWriter writer(path, opts);
+      ADD_FAILURE() << "sample_rate " << rate << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("sample_rate"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(std::filesystem::exists(path)) << "rate " << rate;
+  }
+  // The closed interval's ends are valid rates.
+  for (const double rate : {0.0, 1.0}) {
+    ClientJournalWriter::Options opts;
+    opts.sample_rate = rate;
+    ClientJournalWriter writer(path, opts);
+    writer.Close();
+    EXPECT_EQ(ReadClientJournal(path).sample_rate, rate);
+  }
 }
 
 TEST(JournalWriterTest, SamplingKeepsExactlyTheHashedSubset) {

@@ -1,17 +1,16 @@
 // Per-device-tier cohort rollups (DESIGN.md §5j): tier-keyed counters and
 // histograms (`<base>@<tier>` registry names) and the client event journal
-// must be bit-identical across thread counts and exporter on/off — the
-// tier twins come from the same serial fold of the staged per-client rows
-// at the round barrier as the untiered counters — and the per-tier totals
-// must exactly partition the untiered ones.  Also covers the journal's engine-side contract: one
-// block per round barrier, the taxonomy in every record, and per-round
-// (not per-run) memory bounds on the drain path.
+// must be bit-identical across thread counts — the tier twins come from
+// the same serial fold of the staged per-client rows at the round barrier
+// as the untiered counters — and the per-tier totals must exactly
+// partition the untiered ones.  Also covers the journal's engine-side
+// contract: one block per round barrier, the taxonomy in every record, and
+// per-round (not per-run) memory bounds on the drain path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,7 +20,6 @@
 #include "fl/engine.h"
 #include "models/zoo.h"
 #include "obs/journal.h"
-#include "obs/live.h"
 #include "obs/obs_config.h"
 #include "obs/registry.h"
 #include "support/temp_dir.h"
@@ -63,11 +61,9 @@ struct TieredRun {
   std::int64_t journal_blocks = 0;
   std::size_t journal_peak = 0;
   std::vector<std::size_t> drained_batch_sizes;
-  std::string metrics_text;
-  std::string status_json;
 };
 
-TieredRun RunTiered(const data::Task& task, int threads, bool with_live) {
+TieredRun RunTiered(const data::Task& task, int threads) {
   const auto tm = models::MakeTaskModels("cifar10");
   auto alg = algorithms::MakeAlgorithm("fedrolex", tm);
   fl::FlConfig cfg;
@@ -90,31 +86,10 @@ TieredRun RunTiered(const data::Task& task, int threads, bool with_live) {
     journal.Append(rows);
   });
 
-  ObsConfig obs;
-  obs.registry = &registry;
-  std::unique_ptr<LiveExporter> live;
-  if (with_live) {
-    LiveConfig lcfg;
-    lcfg.http_port = 0;  // ephemeral loopback server, polled by nobody —
-                         // attaching it alone must not change a byte
-    lcfg.heartbeat_every_s = 0.02;
-    lcfg.heartbeat_path = dir.File("heartbeat.jsonl");
-    lcfg.watchdog_stall_s = 120.0;
-    lcfg.run_id = "tier-rollup";
-    lcfg.rounds_total = cfg.rounds;
-    live = std::make_unique<LiveExporter>(lcfg, &registry);
-    obs.live = live.get();
-  }
-  cfg.obs = obs;
+  cfg.obs.registry = &registry;
 
   fl::FlEngine engine(task, cfg, TieredAssignments(), *alg);
   out.result = engine.Run();
-  if (live != nullptr) {
-    out.metrics_text = live->MetricsText();
-    out.status_json = live->StatusJson();
-    live->Stop();
-    EXPECT_EQ(live->stall_count(), 0);
-  }
   registry.SetClientRowSink(nullptr);
   journal.Close();
   out.journal_blocks = journal.blocks_written();
@@ -131,14 +106,14 @@ TieredRun RunTiered(const data::Task& task, int threads, bool with_live) {
 
 const char* const kTierNames[] = {"cpu", "mem4g", "mem16g", "untiered"};
 
-TEST(TierRollupTest, TotalsAndJournalBitIdenticalAcrossThreadsAndExporter) {
+TEST(TierRollupTest, TotalsAndJournalBitIdenticalAcrossThreads) {
   data::TaskConfig tcfg;
   tcfg.train_samples = 240;
   tcfg.test_samples = 120;
   tcfg.num_clients = kClients;
   const data::Task task = data::MakeTask("cifar10", tcfg);
 
-  const TieredRun ref = RunTiered(task, 1, true);
+  const TieredRun ref = RunTiered(task, 1);
   ASSERT_FALSE(ref.journal_bytes.empty());
   EXPECT_EQ(ref.journal_blocks, kRounds);
   // The scenario exercises tiers and drop paths for real.
@@ -165,7 +140,7 @@ TEST(TierRollupTest, TotalsAndJournalBitIdenticalAcrossThreadsAndExporter) {
 
   for (const int threads : {2, 4}) {
     SCOPED_TRACE("num_threads=" + std::to_string(threads));
-    const TieredRun run = RunTiered(task, threads, true);
+    const TieredRun run = RunTiered(task, threads);
     EXPECT_EQ(run.result.final_accuracy, ref.result.final_accuracy);
     EXPECT_EQ(run.result.total_sim_time_s, ref.result.total_sim_time_s);
     EXPECT_EQ(comparable_totals(run), comparable_totals(ref));
@@ -173,11 +148,6 @@ TEST(TierRollupTest, TotalsAndJournalBitIdenticalAcrossThreadsAndExporter) {
     EXPECT_EQ(run.journal_bytes, ref.journal_bytes)
         << "journal bytes diverged at num_threads=" << threads;
   }
-
-  const TieredRun no_exporter = RunTiered(task, 1, false);
-  EXPECT_EQ(comparable_totals(no_exporter), comparable_totals(ref));
-  EXPECT_EQ(no_exporter.journal_bytes, ref.journal_bytes)
-      << "attaching the live exporter changed the journal bytes";
 }
 
 TEST(TierRollupTest, TierRollupsExactlyPartitionTheUntieredTotals) {
@@ -186,7 +156,7 @@ TEST(TierRollupTest, TierRollupsExactlyPartitionTheUntieredTotals) {
   tcfg.test_samples = 120;
   tcfg.num_clients = kClients;
   const data::Task task = data::MakeTask("cifar10", tcfg);
-  const TieredRun run = RunTiered(task, 2, false);
+  const TieredRun run = RunTiered(task, 2);
 
   for (const char* base : {"clients_selected", "clients_offline",
                            "clients_dropped", "clients_trained", "bytes_up",
@@ -218,54 +188,13 @@ TEST(TierRollupTest, TierRollupsExactlyPartitionTheUntieredTotals) {
   }
 }
 
-TEST(TierRollupTest, ExporterSurfacesCarryTierRollups) {
-  data::TaskConfig tcfg;
-  tcfg.train_samples = 240;
-  tcfg.test_samples = 120;
-  tcfg.num_clients = kClients;
-  const data::Task task = data::MakeTask("cifar10", tcfg);
-  const TieredRun run = RunTiered(task, 2, true);
-
-  // /metrics: tier-keyed entries render as a Prometheus `tier` label on
-  // the base family, untiered entries keep their label-free form, and each
-  // family gets exactly one TYPE header.
-  EXPECT_NE(run.metrics_text.find("mhb_counter_clients_trained{tier=\"cpu\"}"),
-            std::string::npos)
-      << run.metrics_text;
-  EXPECT_NE(run.metrics_text.find("mhb_counter_bytes_up{tier=\"mem16g\"}"),
-            std::string::npos);
-  EXPECT_NE(run.metrics_text.find(
-                "mhb_hist_client_bytes_up{tier=\"mem4g\",quantile=\"0.5\"}"),
-            std::string::npos);
-  EXPECT_NE(run.metrics_text.find("\nmhb_counter_bytes_up "),
-            std::string::npos)
-      << "untiered rendering must be unchanged";
-  const std::string type_line = "# TYPE mhb_counter_bytes_up counter\n";
-  const std::size_t first = run.metrics_text.find(type_line);
-  ASSERT_NE(first, std::string::npos);
-  EXPECT_EQ(run.metrics_text.find(type_line, first + 1), std::string::npos)
-      << "duplicate TYPE header for a tiered metric family";
-  EXPECT_EQ(run.metrics_text.find('@'), std::string::npos)
-      << "raw @-names leaked into the Prometheus exposition";
-
-  // /status.json: flat counters/histograms stay tier-free (schema
-  // stability for existing pollers); the rollups live under "tiers".
-  EXPECT_NE(run.status_json.find("\"tiers\": {"), std::string::npos)
-      << run.status_json;
-  EXPECT_NE(run.status_json.find("\"cpu\": {\"counters\": {"),
-            std::string::npos);
-  EXPECT_NE(run.status_json.find("\"mem16g\""), std::string::npos);
-  EXPECT_EQ(run.status_json.find('@'), std::string::npos)
-      << "raw @-names leaked into /status.json";
-}
-
 TEST(TierRollupTest, JournalCarriesTheTaxonomyAndDrainsEveryBarrier) {
   data::TaskConfig tcfg;
   tcfg.train_samples = 240;
   tcfg.test_samples = 120;
   tcfg.num_clients = kClients;
   const data::Task task = data::MakeTask("cifar10", tcfg);
-  const TieredRun run = RunTiered(task, 2, false);
+  const TieredRun run = RunTiered(task, 2);
 
   // One drain per round barrier, each bounded by the round's cohort — the
   // registry never accumulates rows across rounds.

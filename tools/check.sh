@@ -4,15 +4,14 @@
 # that emits and schema-checks a trace + manifest + tiers.csv, validates
 # and CSV-converts the client event journal, and indexes two runs with
 # mhb_report.py; a checkpoint/resume smoke that mhb_diffs a resumed run
-# against an uninterrupted one; and a live telemetry smoke that polls
-# /metrics + /status.json + /healthz while a run trains, byte-compares the
-# client journals, and mhb_diffs exporter-on against exporter-off; and a
+# against an uninterrupted one; a run-directory watcher smoke that renders
+# a run with tools/mhb_watch.py while it trains and after it exits; and a
 # determinism-audit smoke that bisects 1-thread vs 2-thread det-audit
 # ledgers, exercises the injected-divergence seam, and asserts the auditor
-# itself leaves manifests and journals bit-identical), then again under
-# ThreadSanitizer (MHBENCH_SANITIZE=thread) to race-check the parallel
-# round executor and the exporter.  Run from anywhere; builds live in
-# build*/ siblings.
+# itself leaves manifests and journals bit-identical), then the suite again
+# under ThreadSanitizer (MHBENCH_SANITIZE=thread) to race-check the
+# parallel round executor.  Run from anywhere; builds live in build*/
+# siblings.
 #
 #   tools/check.sh           # lint + plain + tsan
 #   tools/check.sh --lint    # mhb_lint fixtures + clean tree scan (no build)
@@ -249,136 +248,53 @@ JSON
   echo "check.sh: resume smoke passed"
 }
 
-# Live telemetry smoke: the CLI surface of the exporter (obs/live.h).  Two
-# identical runs — exporter off, then exporter on (--live-port 0 with
-# heartbeat + watchdog) — where a poller fetches /metrics, /healthz and
-# /status.json WHILE the second run trains, schema-checks the captured
-# documents plus the heartbeat.jsonl stream afterwards, and finally
-# mhb_diffs the two manifests expecting zero metric differences: serving
-# telemetry mid-run must not change a single counter, histogram bucket or
-# metric.  Only the client_wall_us quantiles are relaxed (real-clock noise,
-# same carve-out as the resume smoke).
-smoke_live() {
+# Run-directory watcher smoke: the run directory is the run's one progress
+# record (rounds.csv and tiers.csv rewritten at every round barrier,
+# manifest.json last).  tools/mhb_watch.py --once must render it while
+# mhbench is still training — state running, at least one completed round —
+# and again after mhbench exits: state finished, every round counted, the
+# headline counters and the per-tier pane present.
+smoke_watch() {
   local build_dir="$1"
   if ! command -v python3 >/dev/null 2>&1; then
-    echo "check.sh: python3 not found, skipping live telemetry smoke"
+    echo "check.sh: python3 not found, skipping watcher smoke"
     return 0
   fi
   local out
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' RETURN
-  local cli=("$build_dir/tools/mhbench")
-  local common=(run --task cifar10 --algorithm sheterofl --rounds 4 \
-    --clients 4 --threads 2 --profile 0)
-  MHB_TRAIN=160 MHB_TEST=80 "${cli[@]}" "${common[@]}" \
-    --manifest-dir "$out/off" >/dev/null
-  MHB_TRAIN=160 MHB_TEST=80 "${cli[@]}" "${common[@]}" \
-    --manifest-dir "$out/on" --live-port 0 --heartbeat-every 0.05 \
-    --watchdog-sec 60 > "$out/on.log" &
+  local run_dir="$out/results/harbox-computation-depthfl-seed1"
+  MHB_TRAIN=160 MHB_TEST=80 "$build_dir/tools/mhbench" run \
+    --task harbox --algorithm depthfl --rounds 120 --clients 4 --threads 1 \
+    --profile 0 --manifest-dir "$out/results" >/dev/null &
   local run_pid=$!
-  # Poll the announced ephemeral port for as long as the run is alive; every
-  # endpoint must answer at least once mid-run.
-  if ! python3 - "$out" "$run_pid" <<'PY'
-import json, os, re, sys, time, urllib.request
-
-out, pid = sys.argv[1], int(sys.argv[2])
-log = os.path.join(out, "on.log")
-
-
-def alive():
-    try:
-        os.kill(pid, 0)
-        return True
-    except OSError:
-        return False
-
-
-port = None
-deadline = time.time() + 30
-while time.time() < deadline:
-    m = re.search(r"live telemetry on http://127\.0\.0\.1:(\d+)",
-                  open(log).read())
-    if m:
-        port = int(m.group(1))
+  local mid=""
+  while kill -0 "$run_pid" 2>/dev/null; do
+    if [ -f "$run_dir/rounds.csv" ]; then
+      mid="$(python3 "$repo/tools/mhb_watch.py" "$run_dir" --once)"
+      if grep -q "^state    running" <<<"$mid"; then
         break
-    if not alive():
-        sys.exit("mhbench exited before announcing the live port")
-    time.sleep(0.02)
-assert port is not None, "no live port announced within 30 s"
-
-hits = {"/metrics": 0, "/healthz": 0, "/status.json": 0}
-status_body = metrics_body = health_body = None
-while alive():
-    for path in hits:
-        try:
-            body = urllib.request.urlopen(
-                f"http://127.0.0.1:{port}{path}", timeout=2).read().decode()
-        except Exception:
-            continue
-        hits[path] += 1
-        if path == "/status.json":
-            status_body = body
-        elif path == "/metrics":
-            metrics_body = body
-        else:
-            health_body = body
-    time.sleep(0.02)
-
-for path, n in hits.items():
-    assert n > 0, f"never reached {path} mid-run"
-assert health_body.strip() == "ok", f"healthz said {health_body!r}"
-status = json.loads(status_body)  # must be valid JSON mid-run
-for key in ("run_id", "rounds_completed", "last_round", "sim_time_s",
-            "stalled", "watchdog_stalls", "accuracy", "counters",
-            "histograms", "checkpoint"):
-    assert key in status, f"status.json: missing {key!r}"
-assert status["watchdog_stalls"] == 0
-assert "mhb_up 1" in metrics_body
-assert "# TYPE mhb_rounds_completed counter" in metrics_body
-print("check.sh: live endpoints served mid-run (metrics="
-      f"{hits['/metrics']}, status={hits['/status.json']}, "
-      f"healthz={hits['/healthz']})")
-PY
-  then
-    kill "$run_pid" 2>/dev/null || true
-    wait "$run_pid" 2>/dev/null || true
+      fi
+      mid=""
+    fi
+    sleep 0.05
+  done
+  if [ -z "$mid" ]; then
+    wait "$run_pid" || true
+    echo "check.sh: mhb_watch never rendered the run while it trained" >&2
     return 1
   fi
+  echo "$mid"
+  grep -q "^rounds   .* completed" <<<"$mid"
   wait "$run_pid"
-  # The heartbeat stream next to the manifest: one JSON object per line,
-  # monotone seq, silent watchdog.
-  python3 - "$out/on" <<'PY'
-import glob, json, sys
-
-paths = glob.glob(sys.argv[1] + "/*/heartbeat.jsonl")
-assert len(paths) == 1, f"expected one heartbeat.jsonl, got {paths}"
-lines = open(paths[0]).read().splitlines()
-assert lines, "heartbeat.jsonl is empty"
-for i, line in enumerate(lines):
-    rec = json.loads(line)
-    assert rec["seq"] == i, f"line {i}: seq {rec['seq']}"
-    for key in ("utc", "unix_s", "uptime_s", "run_id", "round",
-                "rounds_completed", "rounds_total", "sim_time_s",
-                "clients_trained", "bytes_up", "checkpoints_written",
-                "stalled", "watchdog_stalls"):
-        assert key in rec, f"line {i}: missing {key!r}"
-final = json.loads(lines[-1])
-assert final["watchdog_stalls"] == 0, "watchdog fired on a healthy run"
-assert final["stalled"] is False
-print(f"check.sh: heartbeat stream valid ({len(lines)} lines)")
-PY
-  # The client event journal is a pure function of the cost model and the
-  # serial draws: serving telemetry mid-run must not change a single byte.
-  cmp "$out"/off/*/clients.mhbj "$out"/on/*/clients.mhbj
-  echo "check.sh: client journal bit-identical with exporter attached"
-  cat > "$out/thresholds.json" <<'JSON'
-{
-  "client_wall_us*": {"ratio": 1000}
-}
-JSON
-  python3 "$repo/tools/mhb_diff.py" --thresholds "$out/thresholds.json" \
-    "$out/off" "$out/on" >/dev/null
-  echo "check.sh: live telemetry smoke passed"
+  local final
+  final="$(python3 "$repo/tools/mhb_watch.py" "$run_dir" --once)"
+  echo "$final"
+  grep -q "^state    finished" <<<"$final"
+  grep -q "^rounds   depthfl .* 120/120" <<<"$final"
+  grep -q "^counters clients_trained=" <<<"$final"
+  grep -q "^tier     " <<<"$final"
+  echo "check.sh: watcher smoke passed"
 }
 
 # Determinism-audit smoke: the CLI surface of the divergence auditor
@@ -525,23 +441,19 @@ case "$mode" in
     run_suite "$repo/build"
     smoke_obs "$repo/build"
     smoke_resume "$repo/build"
-    smoke_live "$repo/build"
+    smoke_watch "$repo/build"
     smoke_det_audit "$repo/build"
     run_suite "$repo/build-tsan" -DMHBENCH_SANITIZE=thread
-    smoke_live "$repo/build-tsan"
     ;;
   --lint) run_lint ;;
   --plain)
     run_suite "$repo/build"
     smoke_obs "$repo/build"
     smoke_resume "$repo/build"
-    smoke_live "$repo/build"
+    smoke_watch "$repo/build"
     smoke_det_audit "$repo/build"
     ;;
-  --tsan)
-    run_suite "$repo/build-tsan" -DMHBENCH_SANITIZE=thread
-    smoke_live "$repo/build-tsan"
-    ;;
+  --tsan) run_suite "$repo/build-tsan" -DMHBENCH_SANITIZE=thread ;;
   --asan)  run_suite "$repo/build-asan" -DMHBENCH_SANITIZE=address ;;
   --ubsan)
     UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \

@@ -1,144 +1,222 @@
 #!/usr/bin/env python3
-"""Terminal progress view for a live mhbench run.
+"""Terminal progress view of an mhbench run directory.
 
-Usage: mhb_watch.py [--port P | --url URL] [--interval SEC] [--once]
+Usage: mhb_watch.py RUN_DIR [--interval S] [--once] [--stall-sec S]
 
-Polls the run's /status.json (served by `mhbench run --live-port P`,
-obs/live.h) and renders a one-screen progress report: round progress bar,
-simulated clock, the accuracy-curve tail, stall state, and the headline
-counters.  Strictly an observer — it only issues GETs against the
-exporter's read-only endpoints, so watching a run can never perturb it.
+RUN_DIR is one run's directory under `mhbench run --manifest-dir`
+(results/<run-id>/).  The watcher reads only files the run writes anyway:
 
-  mhb_watch.py --port 8787                # watch http://127.0.0.1:8787
-  mhb_watch.py --url http://host:8787     # watch a remote run
-  mhb_watch.py --port 8787 --once         # print one snapshot and exit
+  rounds.csv     rewritten at every round barrier: one row per completed
+                 round (the baseline FedAvg run's rounds first, then the
+                 algorithm's), with the sim_time_s/global_acc gauges and the
+                 round's counter deltas;
+  tiers.csv      the same rounds' per-device-tier counter deltas;
+  manifest.json  written last, once the run has finished.
 
-Connection refused is treated as "run not up yet / already finished": the
-watcher keeps retrying until interrupted (or exits 1 under --once).
+It renders rounds completed per run, the simulated clock, the accuracy
+tail, headline counters (sums of the per-round deltas) and a per-tier pane.
+The state line says `finished` once manifest.json exists, and `STALLED`
+when rounds.csv (or, before round 0, the run directory) has not changed
+for --stall-sec seconds.  It only reads, so watching cannot perturb a run.
 
-Exit status: 0 on a clean snapshot (or Ctrl-C), 1 when --once cannot reach
-the exporter or the payload is malformed.
+  mhb_watch.py results/cifar10-computation-sheterofl-seed1
+  mhb_watch.py RUN_DIR --once          # print one snapshot and exit
+
+Without --once the view redraws every --interval seconds and exits after
+showing `finished`.  Exit status: 0 on a rendered snapshot (or Ctrl-C), 1
+when RUN_DIR is not a directory or one of its files does not parse.
 """
 
 import argparse
+import csv
 import json
+import os
 import sys
 import time
-import urllib.error
-import urllib.request
+
+HEADLINE_COUNTERS = ("clients_trained", "clients_dropped", "bytes_up",
+                     "bytes_down", "gemm_flops", "checkpoint_writes")
+TIER_COUNTERS = ("clients_selected", "clients_trained", "clients_dropped",
+                 "clients_offline", "bytes_up")
 
 
-def fetch_status(url, timeout=2.0):
-    """Returns the parsed /status.json object, or None when unreachable."""
+class RunDirError(Exception):
+    pass
+
+
+def read_csv(path):
+    """Rows of a CSV file as dicts, or [] when the file does not exist yet.
+
+    The run replaces its CSVs by rename, so a read sees a whole file."""
     try:
-        with urllib.request.urlopen(url + "/status.json", timeout=timeout) as r:
-            return json.loads(r.read().decode("utf-8"))
-    except (urllib.error.URLError, OSError, ValueError):
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+    except FileNotFoundError:
+        return []
+    for row in rows:
+        if None in row or None in row.values():
+            raise RunDirError(f"{path}: row width differs from the header")
+    return rows
+
+
+def as_int(row, name, path):
+    cell = row.get(name, "")
+    try:
+        return int(cell) if cell != "" else 0
+    except ValueError:
+        raise RunDirError(f"{path}: {name}={cell!r} is not an integer")
+
+
+def as_float(row, name, path):
+    """The gauge's value, or None when the round did not set it."""
+    cell = row.get(name, "")
+    if cell == "":
         return None
+    try:
+        return float(cell)
+    except ValueError:
+        raise RunDirError(f"{path}: {name}={cell!r} is not a number")
+
+
+def snapshot(run_dir, stall_sec, now=None):
+    """Everything the view shows, read from the run directory."""
+    if not os.path.isdir(run_dir):
+        raise RunDirError(f"{run_dir}: not a directory")
+    now = time.time() if now is None else now
+    rounds_path = os.path.join(run_dir, "rounds.csv")
+    tiers_path = os.path.join(run_dir, "tiers.csv")
+    manifest_path = os.path.join(run_dir, "manifest.json")
+
+    snap = {"run_dir": run_dir, "runs": [], "accuracy": [], "counters": {},
+            "tiers": {}, "rounds_total": None}
+    for row in read_csv(rounds_path):
+        # The runs of a suite follow one another.  A new run starts at a
+        # new label or when the round number stops rising: with
+        # --algorithm fedavg, the baseline and the run under test share
+        # the label "fedavg".
+        rnd = as_int(row, "round", rounds_path)
+        run = snap["runs"][-1] if snap["runs"] else None
+        if run is None or run["run"] != row["run"] or rnd <= run["last_round"]:
+            run = {"run": row["run"], "rounds": 0, "last_round": -1,
+                   "sim_time_s": 0.0}
+            snap["runs"].append(run)
+            snap["accuracy"] = []  # the tail follows the latest run
+        run["rounds"] += 1
+        run["last_round"] = rnd
+        sim = as_float(row, "sim_time_s", rounds_path)
+        if sim is not None:
+            run["sim_time_s"] = sim
+        acc = as_float(row, "global_acc", rounds_path)
+        if acc is not None:
+            snap["accuracy"].append((run["last_round"], acc))
+        for name in HEADLINE_COUNTERS:
+            if name in row:
+                snap["counters"][name] = (snap["counters"].get(name, 0) +
+                                          as_int(row, name, rounds_path))
+
+    for row in read_csv(tiers_path):
+        tier = snap["tiers"].setdefault(row["tier"], {})
+        for name in TIER_COUNTERS:
+            tier[name] = tier.get(name, 0) + as_int(row, name, tiers_path)
+
+    if os.path.exists(manifest_path):
+        try:
+            with open(manifest_path) as f:
+                manifest = json.load(f)
+        except ValueError as e:
+            raise RunDirError(f"{manifest_path}: {e}")
+        rounds = (manifest.get("config") or {}).get("rounds")
+        if rounds is not None:
+            snap["rounds_total"] = int(rounds)
+        snap["state"] = "finished"
+    else:
+        # Before round 0 there is no rounds.csv; the run directory's own
+        # mtime moves when the run creates its first files.
+        watched = rounds_path if snap["runs"] else run_dir
+        idle = now - os.path.getmtime(watched)
+        snap["idle_s"] = idle
+        if idle >= stall_sec:
+            snap["state"] = "STALLED"
+        elif snap["runs"]:
+            snap["state"] = "running"
+        else:
+            snap["state"] = "waiting for round 0"
+    return snap
 
 
 def progress_bar(done, total, width=30):
-    if total <= 0:
-        return "[" + "?" * width + "]"
-    filled = min(width, int(width * done / total))
+    filled = min(width, width * done // total) if total > 0 else 0
     return "[" + "#" * filled + "-" * (width - filled) + "]"
 
 
-def render(status):
-    lines = []
-    done = status.get("rounds_completed", 0)
-    total = status.get("rounds_total", 0)
-    run_id = status.get("run_id") or status.get("run") or "?"
-    pct = f" {100.0 * done / total:5.1f}%" if total > 0 else ""
-    lines.append(f"run      {run_id}")
-    lines.append(
-        f"rounds   {progress_bar(done, total)} {done}"
-        + (f"/{total}{pct}" if total > 0 else " completed")
-    )
-    lines.append(
-        f"clock    sim {status.get('sim_time_s', 0):.1f} s"
-        f"   up {status.get('uptime_s', 0):.1f} s"
-        f"   last progress {status.get('progress_age_s', 0):.1f} s ago"
-    )
-    if status.get("stalled"):
-        lines.append("state    STALLED (watchdog fired "
-                     f"{status.get('watchdog_stalls', 0)}x)")
-    else:
-        lines.append("state    healthy"
-                     + (f", {status['watchdog_stalls']} past stall(s)"
-                        if status.get("watchdog_stalls") else ""))
+def render(snap):
+    lines = [f"run dir  {snap['run_dir']}"]
+    state = snap["state"]
+    if state == "STALLED":
+        what = "rounds.csv" if snap["runs"] else "run dir"
+        state += f" ({what} unchanged for {snap['idle_s']:.1f} s)"
+    lines.append(f"state    {state}")
 
-    acc = status.get("accuracy") or []
-    if acc:
-        tail = ", ".join(f"r{r}={a:.4f}" for r, a in acc[-5:])
+    total = snap["rounds_total"]
+    for run in snap["runs"]:
+        done = run["rounds"]
+        count = (f"{progress_bar(done, total)} {done}/{total}"
+                 if total else f"{done} completed")
+        lines.append(f"rounds   {run['run']:<14} {count}"
+                     f"   sim {run['sim_time_s']:.1f} s")
+    if not snap["runs"]:
+        lines.append("rounds   none completed yet")
+
+    if snap["accuracy"]:
+        tail = ", ".join(f"r{r}={a:.4f}" for r, a in snap["accuracy"][-5:])
         lines.append(f"accuracy {tail}")
 
-    counters = status.get("counters") or {}
-    headline = [
-        (name, counters[name])
-        for name in ("clients_trained", "clients_dropped", "bytes_up",
-                     "bytes_down", "gemm_flops")
-        if name in counters
-    ]
-    if headline:
-        lines.append("counters " +
-                     "  ".join(f"{n}={v:,}" for n, v in headline))
+    if snap["counters"]:
+        lines.append("counters " + "  ".join(
+            f"{name}={snap['counters'][name]:,}"
+            for name in HEADLINE_COUNTERS if name in snap["counters"]))
 
-    # Per-device-tier breakdown from the exporter's "tiers" rollups.
-    tiers = status.get("tiers") or {}
-    for tier in sorted(tiers):
-        tc = tiers[tier].get("counters") or {}
-        selected = tc.get("clients_selected", 0)
-        dropped = tc.get("clients_dropped", 0) + tc.get("clients_offline", 0)
+    for name in sorted(snap["tiers"]):
+        t = snap["tiers"][name]
+        selected = t.get("clients_selected", 0)
+        dropped = t.get("clients_dropped", 0) + t.get("clients_offline", 0)
         drop_rate = dropped / selected if selected else 0.0
         lines.append(
-            f"tier     {tier:<10} trained={tc.get('clients_trained', 0):,}"
+            f"tier     {name:<10} trained={t.get('clients_trained', 0):,}"
             f"  selected={selected:,}  drop_rate={drop_rate:.3f}"
-            f"  bytes_up={tc.get('bytes_up', 0):,}")
-
-    ckpt = status.get("checkpoint") or {}
-    if ckpt.get("written"):
-        lines.append(f"ckpt     {ckpt['written']} written, resume round "
-                     f"{ckpt.get('next_round')} -> {ckpt.get('path')}")
+            f"  bytes_up={t.get('bytes_up', 0):,}")
     return "\n".join(lines)
 
 
 def main():
     ap = argparse.ArgumentParser(
-        description="watch a live mhbench run via its /status.json")
-    group = ap.add_mutually_exclusive_group()
-    group.add_argument("--port", type=int,
-                       help="poll http://127.0.0.1:PORT (the --live-port "
-                            "of the run)")
-    group.add_argument("--url", help="full base URL of the exporter")
+        description="watch an mhbench run through its run directory")
+    ap.add_argument("run_dir", metavar="RUN_DIR",
+                    help="the run's directory under --manifest-dir")
     ap.add_argument("--interval", type=float, default=1.0,
-                    help="poll interval in seconds (default 1)")
+                    help="redraw interval in seconds (default 1)")
     ap.add_argument("--once", action="store_true",
                     help="print a single snapshot and exit")
+    ap.add_argument("--stall-sec", type=float, default=60.0,
+                    help="report STALLED after this many seconds without a "
+                         "new round (default 60)")
     args = ap.parse_args()
-
-    if args.url:
-        url = args.url.rstrip("/")
-    else:
-        url = f"http://127.0.0.1:{args.port if args.port else 8787}"
 
     try:
         while True:
-            status = fetch_status(url)
+            snap = snapshot(args.run_dir, args.stall_sec)
             if args.once:
-                if status is None:
-                    print(f"mhb_watch: no exporter at {url}", file=sys.stderr)
-                    return 1
-                print(render(status))
+                print(render(snap))
                 return 0
             # Clear-screen redraw keeps the view stable without curses.
-            sys.stdout.write("\x1b[2J\x1b[H")
-            if status is None:
-                print(f"mhb_watch: waiting for {url} ...")
-            else:
-                print(render(status))
+            sys.stdout.write("\x1b[2J\x1b[H" + render(snap) + "\n")
             sys.stdout.flush()
+            if snap["state"] == "finished":
+                return 0
             time.sleep(max(0.05, args.interval))
+    except RunDirError as e:
+        print(f"mhb_watch: {e}", file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         return 0
 

@@ -16,9 +16,7 @@
 //               [--manifest-dir results] [--profile 0|1]
 //               [--checkpoint-every N] [--checkpoint-dir checkpoints]
 //               [--resume checkpoints/round_000002.mhbsnap]
-//               [--live-port P] [--heartbeat-every SEC]
-//               [--watchdog-sec SEC] [--watchdog-abort 0|1]
-//               [--det-audit path|1]
+//               [--client-journal-sample R] [--det-audit path|1]
 //       Run one federated experiment and print the metric panel.
 //       --threads parallelizes client training and stability evaluation;
 //       results are bit-identical for any thread count.
@@ -35,9 +33,13 @@
 //       client event journal; `tools/mhb_journal.py csv` converts it to
 //       the legacy clients.csv) capturing config, seed, git revision and
 //       per-round telemetry (counters, gauges, histogram quantiles).
-//       --client-journal-sample R (default 1.0) journals a deterministic
-//       seed-hashed fraction R of clients — the same subset at any
-//       --threads (DESIGN.md §5j).
+//       rounds.csv, tiers.csv and clients.mhbj grow at every round
+//       barrier, so the run directory is also the run's progress record:
+//       `tools/mhb_watch.py <run-dir>` renders it while the run trains,
+//       and a killed run keeps every completed round.
+//       --client-journal-sample R (default 1.0, within [0, 1]) journals a
+//       deterministic seed-hashed fraction R of clients — the same subset
+//       at any --threads (DESIGN.md §5j).
 //       --profile enables the per-op profiler (profile.json in the run
 //       dir); defaults to on when --manifest-dir is set.
 //       --checkpoint-every N snapshots engine + algorithm + RNG + obs
@@ -45,33 +47,30 @@
 //       restores one snapshot and continues — with the same config the
 //       resumed run is bit-identical to the uninterrupted one (see
 //       DESIGN.md §5g).
-//       --live-port P serves live telemetry on http://127.0.0.1:P
-//       (/metrics in Prometheus text format, /status.json, /healthz;
-//       P=0 picks an ephemeral port, printed before the run starts).
-//       --heartbeat-every S appends a heartbeat.jsonl line to the run's
-//       manifest dir every S wall seconds (requires --manifest-dir);
-//       --watchdog-sec S logs a stall when no round completes for S wall
-//       seconds, and --watchdog-abort 1 turns that into a hard exit.
-//       None of these can perturb results: the exporter only reads
-//       round-barrier totals (DESIGN.md §5h); `tools/mhb_watch.py` polls
-//       /status.json into a terminal progress view.
 //       --det-audit <path|1> writes a per-round determinism ledger
 //       (det_audit.jsonl): one 64-bit hash per component (RNG stream,
 //       model/algorithm state bytes, counter and histogram totals) plus a
 //       running chain, at every round barrier.  "1" places the ledger in
-//       the --manifest-dir run directory.  `tools/mhb_bisect.py` diffs two
-//       ledgers and names the first divergent round and component
-//       (DESIGN.md §5k).  Read-only over engine state: attaching it leaves
-//       results, manifests and journals bit-identical.
+//       the --manifest-dir run directory and is an error without one.
+//       `tools/mhb_bisect.py` diffs two ledgers and names the first
+//       divergent round and component (DESIGN.md §5k).  Read-only over
+//       engine state: attaching it leaves results, manifests and journals
+//       bit-identical.
 //
 // Every command also accepts --log-level <silent|error|warn|info|debug|
 // trace|0-5>, mirroring the MHB_LOG_LEVEL environment variable (the flag
-// wins when both are given).
+// wins when both are given).  A command fails before it runs on a flag it
+// does not take, a flag given twice, or a numeric flag whose value does not
+// parse in full.
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -88,7 +87,6 @@
 #include "models/zoo.h"
 #include "obs/det_audit.h"
 #include "obs/journal.h"
-#include "obs/live.h"
 #include "obs/manifest.h"
 #include "obs/profile.h"
 #include "obs/registry.h"
@@ -99,33 +97,79 @@ namespace {
 
 using namespace mhbench;
 
-// Minimal --key value parser.
+// Minimal --key value parser.  Every accessor records the key it was asked
+// for, so a command can reject the flags it never read (RejectUnread)
+// before doing any work.
 class Args {
  public:
   Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      MHB_CHECK(std::strncmp(argv[i], "--", 2) == 0)
-          << "expected --flag, got" << argv[i];
-      values_[argv[i] + 2] = argv[i + 1];
+    for (int i = first; i < argc; i += 2) {
+      if (std::strncmp(argv[i], "--", 2) != 0) {
+        throw Error(std::string("expected --flag, got '") + argv[i] + "'");
+      }
+      if (i + 1 == argc) {
+        throw Error(std::string(argv[i]) + " has no value");
+      }
+      if (!values_.emplace(argv[i] + 2, argv[i + 1]).second) {
+        throw Error(std::string(argv[i]) + " is given twice");
+      }
     }
-    MHB_CHECK((argc - first) % 2 == 0) << "flag without value";
   }
 
   std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* value = Find(key);
+    return value == nullptr ? fallback : *value;
   }
   double GetD(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    const std::string* value = Find(key);
+    if (value == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(value->c_str(), &end);
+    if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
+      throw Error("--" + key + " expects a number, got '" + *value + "'");
+    }
+    return v;
   }
   int GetI(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoi(it->second);
+    const std::string* value = Find(key);
+    if (value == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(value->c_str(), &end, 10);
+    if (end == value->c_str() || *end != '\0' || errno == ERANGE ||
+        v < INT_MIN || v > INT_MAX) {
+      throw Error("--" + key + " expects an integer, got '" + *value + "'");
+    }
+    return static_cast<int>(v);
+  }
+
+  // Throws naming every given flag that no accessor has read: `command`
+  // does not take it (typically a typo such as --round for --rounds).
+  void RejectUnread(const std::string& command) const {
+    std::string unknown;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) {
+        unknown += (unknown.empty() ? "--" : ", --") + key;
+      }
+    }
+    if (!unknown.empty()) {
+      throw Error("unknown flag(s) for `mhbench " + command + "`: " + unknown +
+                  " (see the header of tools/mhbench.cc)");
+    }
   }
 
  private:
+  // The flag's value, or null when it was not given; either way `key`
+  // counts as read.
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 const char* LevelName(algorithms::HeteroLevel level) {
@@ -170,11 +214,13 @@ int CmdCost(const Args& args) {
   const std::string algorithm = args.Get("algorithm", "sheterofl");
   const double ratio = args.GetD("ratio", 1.0);
   const std::string device_name = args.Get("device", "jetson-nano");
+  const double bandwidth_mbps = args.GetD("bandwidth", 20.0);
+  args.RejectUnread("cost");
 
   device::DeviceProfile dev;
   dev.name = device_name;
   dev.gflops = device::DeviceGflops(device_name);
-  dev.bandwidth_mbps = args.GetD("bandwidth", 20.0);
+  dev.bandwidth_mbps = bandwidth_mbps;
 
   device::CostModel cm(device::PaperDesc(model));
   const auto cost = cm.Cost(algorithm, ratio, dev);
@@ -197,6 +243,7 @@ int CmdPlan(const Args& args) {
   device::FleetConfig fcfg;
   fcfg.num_clients = args.GetI("clients", 12);
   fcfg.seed = static_cast<std::uint64_t>(args.GetI("seed", 11));
+  args.RejectUnread("plan");
   const device::Fleet fleet = device::SampleFleet(fcfg);
 
   // "comp" only occurs in computation, "comm" only in communication, and
@@ -252,48 +299,49 @@ int CmdRun(const Args& args) {
   const std::string trace_path = args.Get("trace", "");
   const std::string manifest_dir = args.Get("manifest-dir", "");
   const bool profile = args.GetI("profile", manifest_dir.empty() ? 0 : 1) != 0;
-
-  // Live telemetry (obs/live.h, DESIGN.md §5h).
-  const int live_port = args.GetI("live-port", -1);
-  double heartbeat_every = args.GetD("heartbeat-every", 0.0);
-  const double watchdog_sec = args.GetD("watchdog-sec", 0.0);
-  const bool watchdog_abort = args.GetI("watchdog-abort", 0) != 0;
-  const bool live_enabled =
-      live_port >= 0 || heartbeat_every > 0 || watchdog_sec > 0;
-  if (heartbeat_every > 0 && manifest_dir.empty()) {
-    MHB_LOG_WARN << "--heartbeat-every needs --manifest-dir for the "
-                    "heartbeat.jsonl destination; disabling heartbeat";
-    heartbeat_every = 0.0;
+  options.obs.sim_spans = args.GetI("trace-sim-clock", 0) != 0;
+  const double journal_sample = args.GetD("client-journal-sample", 1.0);
+  // "--det-audit 1" resolves to the run directory; any other value is the
+  // ledger path itself.
+  std::string det_audit_path = args.Get("det-audit", "");
+  if (det_audit_path == "0" || det_audit_path == "false") {
+    det_audit_path.clear();
   }
+  const bool det_audit_in_run_dir =
+      det_audit_path == "1" || det_audit_path == "true";
+  if (det_audit_in_run_dir && manifest_dir.empty()) {
+    throw Error("--det-audit " + det_audit_path +
+                " writes det_audit.jsonl into the run directory and needs "
+                "--manifest-dir (or pass the ledger path instead)");
+  }
+  args.RejectUnread("run");
 
   std::unique_ptr<obs::Tracer> tracer;
   std::unique_ptr<obs::Registry> registry;
   std::unique_ptr<obs::Profiler> profiler;
   if (!trace_path.empty()) tracer = std::make_unique<obs::Tracer>();
   if (!trace_path.empty() || !manifest_dir.empty() ||
-      options.checkpoint_every > 0 || live_enabled) {
+      options.checkpoint_every > 0) {
     // Checkpointing keeps a registry even without --manifest-dir so
     // snapshots carry the obs section (resumed manifests then report
-    // whole-campaign totals); live telemetry needs one as the snapshot
-    // source for /metrics and /status.json.
+    // whole-campaign totals).
     registry = std::make_unique<obs::Registry>();
   }
   if (profile) profiler = std::make_unique<obs::Profiler>();
   options.obs.tracer = tracer.get();
   options.obs.registry = registry.get();
   options.obs.profiler = profiler.get();
-  options.obs.sim_spans = args.GetI("trace-sim-clock", 0) != 0;
   MHB_LOG_INFO << "obs config: trace="
                << (tracer != nullptr ? trace_path : "off")
                << " manifest_dir="
                << (manifest_dir.empty() ? "off" : manifest_dir)
                << " profiler=" << (profile ? "on" : "off")
-               << " sim_spans=" << (options.obs.sim_spans ? "on" : "off")
-               << " live=" << (live_enabled ? "on" : "off");
+               << " sim_spans=" << (options.obs.sim_spans ? "on" : "off");
 
   // The run directory is created up front (not only at exit) so the
-  // heartbeat stream and the incrementally-rewritten rounds.csv land in
-  // the same place WriteRunManifest finalizes at the end.
+  // per-round rounds.csv/tiers.csv stream and the client journal — the
+  // run's progress record — land in the same place WriteRunManifest
+  // finalizes at the end.
   const std::string run_id = options.task + "-" + options.constraint + "-" +
                              algorithm + "-seed" +
                              std::to_string(options.preset.seed);
@@ -322,7 +370,6 @@ int CmdRun(const Args& args) {
   // drains each round's client rows into clients.mhbj at the barrier
   // instead of retaining them for the whole run.
   std::unique_ptr<obs::ClientJournalWriter> journal;
-  const double journal_sample = args.GetD("client-journal-sample", 1.0);
   if (!run_dir.empty() && registry != nullptr) {
     obs::ClientJournalWriter::Options jopts;
     jopts.sample_rate = journal_sample;
@@ -337,50 +384,14 @@ int CmdRun(const Args& args) {
   }
 
   // Determinism divergence auditor (obs/det_audit.h, DESIGN.md §5k).
-  // "--det-audit 1" resolves to the run directory; any other value is the
-  // ledger path itself.
   std::unique_ptr<obs::DetAuditor> det_audit;
-  std::string det_audit_path = args.Get("det-audit", "");
-  if (det_audit_path == "1" || det_audit_path == "true") {
-    if (run_dir.empty()) {
-      MHB_LOG_WARN << "--det-audit 1 needs --manifest-dir for the "
-                      "det_audit.jsonl destination; disabling audit";
-      det_audit_path.clear();
-    } else {
-      det_audit_path = run_dir + "/det_audit.jsonl";
-    }
-  } else if (det_audit_path == "0" || det_audit_path == "false") {
-    det_audit_path.clear();
-  }
+  if (det_audit_in_run_dir) det_audit_path = run_dir + "/det_audit.jsonl";
   if (!det_audit_path.empty()) {
     det_audit = std::make_unique<obs::DetAuditor>(det_audit_path);
     det_audit->WriteHeader(algorithm, options.preset.seed,
                            options.preset.rounds, options.preset.threads);
     options.obs.det_audit = det_audit.get();
     MHB_LOG_INFO << "det-audit ledger: " << det_audit_path;
-  }
-
-  std::unique_ptr<obs::LiveExporter> live;
-  if (live_enabled) {
-    obs::LiveConfig lcfg;
-    lcfg.http_port = live_port;
-    lcfg.heartbeat_every_s = heartbeat_every;
-    if (heartbeat_every > 0) {
-      lcfg.heartbeat_path = run_dir + "/heartbeat.jsonl";
-    }
-    lcfg.watchdog_stall_s = watchdog_sec;
-    lcfg.watchdog_abort = watchdog_abort;
-    lcfg.run_id = run_id;
-    lcfg.rounds_total = options.preset.rounds;
-    live = std::make_unique<obs::LiveExporter>(lcfg, registry.get());
-    options.obs.live = live.get();
-    if (live->http_port() >= 0) {
-      // Printed (and flushed) before the run starts so pollers reading a
-      // redirected log can discover an ephemeral port.
-      std::printf("[live telemetry on http://127.0.0.1:%d]\n",
-                  live->http_port());
-      std::fflush(stdout);
-    }
   }
 
   std::printf("running %s on %s under %s-limited MHFL (%d rounds, %d "
@@ -391,12 +402,6 @@ int CmdRun(const Args& args) {
   std::fflush(stdout);
 
   const auto bundles = bench_support::RunSuite({algorithm}, options);
-  if (live != nullptr) {
-    // Stop watchdog/heartbeat/HTTP before finalizing artifacts: the final
-    // heartbeat line is written here, and nothing may poll half-written
-    // files while the manifest lands.
-    live->Stop();
-  }
   if (registry != nullptr) {
     registry->SetRoundSink(nullptr);
     registry->SetClientRowSink(nullptr);
@@ -491,7 +496,10 @@ int main(int argc, char** argv) {
       mhbench::SetLogLevel(
           mhbench::ParseLogLevel(log_level, mhbench::GetLogLevel()));
     }
-    if (cmd == "list") return CmdList();
+    if (cmd == "list") {
+      args.RejectUnread("list");
+      return CmdList();
+    }
     if (cmd == "cost") return CmdCost(args);
     if (cmd == "plan") return CmdPlan(args);
     if (cmd == "run") return CmdRun(args);
